@@ -1,7 +1,7 @@
 # Tier-1 verification: everything CI runs.
-.PHONY: check build test explore-smoke metrics-smoke causal-smoke serve-smoke parbench-smoke memento-smoke forensics-smoke space-smoke elastic-smoke clean figures
+.PHONY: check build test explore-smoke por-smoke metrics-smoke causal-smoke serve-smoke parbench-smoke memento-smoke forensics-smoke space-smoke elastic-smoke clean figures
 
-check: build test explore-smoke metrics-smoke causal-smoke serve-smoke parbench-smoke memento-smoke forensics-smoke space-smoke elastic-smoke
+check: build test explore-smoke por-smoke metrics-smoke causal-smoke serve-smoke parbench-smoke memento-smoke forensics-smoke space-smoke elastic-smoke
 
 build:
 	dune build
@@ -14,6 +14,31 @@ test:
 explore-smoke:
 	dune exec bin/repro.exe -- explore -a tracking -t 2 --ops 1 \
 	  --keys 4 --prefill 1 --preemptions 2 --crashes 1 --wb 2 --max-execs 0
+
+# Partial-order reduction smoke: the explore-smoke tree with and without
+# --no-reduce must reach the same verdict and coverage, with the reduced
+# search running at most a tenth of the executions; the negative control
+# must still be caught with reduction on (nonzero exit), and the
+# benchmark's tree must be exhausted cleanly.
+POR_SMOKE = -a tracking -t 2 --ops 1 --keys 4 --prefill 1 --preemptions 2 \
+	  --crashes 1 --wb 2 --max-execs 0
+POR_TREE = -t 2 --ops 2 --keys 8 --prefill 2 --preemptions 1 --crashes 1 \
+	  --wb 1 --max-execs 0 --seed 0
+por-smoke:
+	dune exec bin/repro.exe -- explore $(POR_SMOKE) 2>/dev/null \
+	  > _build/por-reduced.txt
+	dune exec bin/repro.exe -- explore $(POR_SMOKE) --no-reduce 2>/dev/null \
+	  > _build/por-full.txt
+	grep -E '^(failures|coverage) ' _build/por-reduced.txt > _build/por-reduced-verdict.txt
+	grep -E '^(failures|coverage) ' _build/por-full.txt > _build/por-full-verdict.txt
+	cmp _build/por-reduced-verdict.txt _build/por-full-verdict.txt
+	r=$$(awk '/^executions/ {print $$2}' _build/por-reduced.txt); \
+	  f=$$(awk '/^executions/ {print $$2}' _build/por-full.txt); \
+	  echo "por-smoke: $$r reduced vs $$f unreduced executions"; \
+	  test $$((r * 10)) -le $$f
+	! dune exec bin/repro.exe -- explore -a tracking-broken $(POR_TREE) \
+	  > /dev/null 2>&1
+	dune exec bin/repro.exe -- explore -a tracking $(POR_TREE) 2>/dev/null
 
 # Metrics + Perfetto smoke: a small campaign with metrics and tracing on;
 # --validate re-parses the emitted trace_event JSON and requires at least

@@ -277,6 +277,20 @@ let explore_cmd =
       & info [ "keep-going" ]
           ~doc:"Keep exploring after the first failure (count them all).")
   in
+  let no_reduce =
+    Arg.(
+      value & flag
+      & info [ "no-reduce" ]
+          ~doc:
+            "Enumerate every schedule of the preemption-bounded tree instead \
+             of one per trace class.  By default the explorer runs a \
+             partial-order reduction: dispatches that touch no common cache \
+             line (or only read it) commute, and alternatives are added only \
+             where a race between dependent dispatches needs reversing.  \
+             Crash points and write-back subsets are enumerated in full \
+             either way; this flag is the oracle the reduction is tested \
+             against.")
+  in
   let trace =
     Arg.(
       value
@@ -292,7 +306,7 @@ let explore_cmd =
           ~doc:"On failure, save a replayable repro to $(docv).")
   in
   let run algo mix threads ops key_range prefill preemptions crashes wb
-      max_execs seed keep_going trace repro_file jobs =
+      max_execs seed keep_going no_reduce trace repro_file jobs =
     if algo.Set_intf.fname = "harris" then begin
       Format.printf "harris is volatile: it cannot recover from crashes@.";
       exit 1
@@ -329,7 +343,7 @@ let explore_cmd =
     in
     let go () =
       Explore.run ~stop_on_failure:(not keep_going)
-        ~progress:Report.explore_progress ~jobs cfg
+        ~progress:Report.explore_progress ~jobs ~reduce:(not no_reduce) cfg
     in
     let o = match trace with Some p -> Trace.with_file p go | None -> go () in
     Format.printf "%a" Report.pp_explore o.Explore.stats;
@@ -355,8 +369,8 @@ let explore_cmd =
           campaign, checking detectability on each execution.")
     Term.(
       const run $ algo $ mix $ threads $ ops $ key_range $ prefill
-      $ preemptions $ crashes $ wb $ max_execs $ seed $ keep_going $ trace
-      $ repro_file $ jobs_arg)
+      $ preemptions $ crashes $ wb $ max_execs $ seed $ keep_going $ no_reduce
+      $ trace $ repro_file $ jobs_arg)
 
 (* -- replay --------------------------------------------------------------- *)
 

@@ -179,10 +179,13 @@ let combine t =
   let batch = List.rev !recs in
   if batch <> [] then begin
     let b = new_bnode t.heap batch in
-    Pmem.write t.vtail.bnext (Some b);
+    (* The batch must be durable no later than the link to it: flushed in
+       a fence segment of its own, so a crash that persists the tail's
+       [bnext] cannot have dropped the batch it points to. *)
     Pmem.pwb t.s.log_pwb b.bline;
-    Pmem.pwb t.s.log_pwb t.vtail.bline;
     Pmem.pfence t.s.log_fence;
+    Pmem.write t.vtail.bnext (Some b);
+    Pmem.pwb t.s.log_pwb t.vtail.bline;
     Pmem.psync t.s.batch_sync;
     t.vtail <- b;
     t.since_ckpt <- t.since_ckpt + 1

@@ -26,6 +26,9 @@ type ctl = {
       (* scheduling decision, passed to Sim.run ~choose *)
   ctl_wb : round:int -> Repro.wb;
       (* write-back resolution for the crash that ended [round] *)
+  ctl_round_end : unit -> unit;
+      (* the round's simulation returned (crashed or not), before any
+         harness code touches the structure again *)
 }
 
 let repro_of cfg ~seed ~error ~rounds =
@@ -162,7 +165,18 @@ let run_logged ?(script = []) ?on_divergence ?ctl ?observe cfg ~seed =
       | None, Some r -> r.Repro.schedule
       | None, None -> [||]
     in
-    let picks = ref [] in
+    (* the round's scheduling picks, in a growable buffer: one
+       allocation per round instead of a cons per pick *)
+    let picks = ref (Array.make 64 0) and n_picks = ref 0 in
+    let record tid =
+      if !n_picks = Array.length !picks then begin
+        let bigger = Array.make (2 * !n_picks) 0 in
+        Array.blit !picks 0 bigger 0 !n_picks;
+        picks := bigger
+      end;
+      !picks.(!n_picks) <- tid;
+      incr n_picks
+    in
     Trace.round ~kind round;
     Forensics.round ~kind round;
     Fun.protect
@@ -171,25 +185,29 @@ let run_logged ?(script = []) ?on_divergence ?ctl ?observe cfg ~seed =
           {
             Repro.kind;
             crash_at;
-            schedule = Array.of_list (List.rev !picks);
+            schedule = Array.sub !picks 0 !n_picks;
             wb = `Rng;
           }
           :: !log)
       (fun () ->
-        Sim.run ~policy:`Random
-          ~seed:(seed * 31 + round)
-          ~crash_at ~step_limit ~schedule
-          ~record:(fun tid -> picks := tid :: !picks)
-          ~divergence:(fun ~step ~want ->
-            incr divergences;
-            Trace.note
-              (Printf.sprintf "DIVERGENCE: round %d step %d wanted tid %d"
-                 round step want);
-            match on_divergence with
-            | None -> ()
-            | Some f -> f ~round ~step ~want)
-          ?choose:(match ctl with Some c -> Some c.ctl_choose | None -> None)
-          bodies)
+        let outcome =
+          Sim.run ~policy:`Random
+            ~seed:(seed * 31 + round)
+            ~crash_at ~step_limit ~schedule
+            ~record
+            ~divergence:(fun ~step ~want ->
+              incr divergences;
+              Trace.note
+                (Printf.sprintf "DIVERGENCE: round %d step %d wanted tid %d"
+                   round step want);
+              match on_divergence with
+              | None -> ()
+              | Some f -> f ~round ~step ~want)
+            ?choose:(match ctl with Some c -> Some c.ctl_choose | None -> None)
+            bodies
+        in
+        (match ctl with Some c -> c.ctl_round_end () | None -> ());
+        outcome)
   in
   (* The write-back resolution of the crash that just ended [round]:
      controller first, then the script, else the harness rng. *)

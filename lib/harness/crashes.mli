@@ -47,6 +47,10 @@ type ctl = {
       (** scheduling decision, passed to [Sim.run ~choose] *)
   ctl_wb : round:int -> Repro.wb;
       (** write-back resolution for the crash that ended [round] *)
+  ctl_round_end : unit -> unit;
+      (** called as soon as a round's simulation returns, crashed or
+          not, before harness code touches the structure again (the
+          explorer closes the round's last dispatch footprint here) *)
 }
 
 val run_once :

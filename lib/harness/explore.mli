@@ -43,6 +43,14 @@ type stats = {
   wb_choices : int;  (** write-back alternatives enumerated *)
   pruned : int;
       (** schedule alternatives suppressed by the preemption bound *)
+  races : int;
+      (** races between dependent dispatches of different threads found
+          by the reduction (0 with [~reduce:false]) *)
+  backtracks_added : int;
+      (** scheduling alternatives those races added to the tree *)
+  sleep_blocked : int;
+      (** executions abandoned because every thread they could still run
+          was asleep (their subtrees were already covered) *)
   complete : bool;
       (** the entire bounded tree was enumerated (false when the
           execution budget ran out or a failure stopped the search) *)
@@ -57,6 +65,7 @@ val run :
   ?stop_on_failure:bool ->
   ?progress:(stats -> unit) ->
   ?jobs:int ->
+  ?reduce:bool ->
   config ->
   outcome
 (** Explore the bounded tree.  [stop_on_failure] (default [true]) stops
@@ -76,4 +85,17 @@ val run :
     when [stop_on_failure] or [max_execs] cuts the search short the
     execution counts reflect the pool's own stopping points (still
     deterministic in the reported failure, not in the counts).  Worker
-    domains are not observed by the calling domain's [Trace]/[Metrics]. *)
+    domains are not observed by the calling domain's [Trace]/[Metrics].
+
+    [reduce] (default [true]) runs one representative per Mazurkiewicz
+    trace class of each round's schedule instead of every schedule:
+    dispatches are dependent when their footprints (cache lines read,
+    written or persisted, see {!Pmem.set_footprint}) conflict, and
+    alternatives are added only where a race between dependent
+    dispatches of different threads needs reversing (source-DPOR with
+    sleep sets, bounded so that every class the preemption-bounded tree
+    covers is still covered).  Crash points and write-back resolutions
+    stay exhaustive.  [~reduce:false] enumerates the full bounded tree —
+    the oracle the reduction is tested against.  A reduced search is
+    split across [jobs] only at a crash or write-back frame, so reports
+    stay identical across [jobs]. *)

@@ -55,14 +55,18 @@ let pp_explore ppf (s : Explore.stats) =
   Format.fprintf ppf "pruned (preempt)  %d@." s.Explore.pruned;
   Format.fprintf ppf "coverage          %s@."
     (if s.Explore.complete then "complete (bounded tree exhausted)"
-     else "INCOMPLETE (budget hit or stopped on failure)")
+     else "INCOMPLETE (budget hit or stopped on failure)");
+  Format.fprintf ppf "races             %d@." s.Explore.races;
+  Format.fprintf ppf "backtracks added  %d@." s.Explore.backtracks_added;
+  Format.fprintf ppf "sleep-blocked     %d@." s.Explore.sleep_blocked
 
 let explore_progress (s : Explore.stats) =
   Format.eprintf
     "[explore] %d execs, %d failures, %d sched points, %d crash points, %d \
-     wb alts, %d pruned@."
+     wb alts, %d pruned, %d races, %d backtracks added, %d sleep-blocked@."
     s.Explore.executions s.Explore.failures s.Explore.decision_points
     s.Explore.crash_points s.Explore.wb_choices s.Explore.pruned
+    s.Explore.races s.Explore.backtracks_added s.Explore.sleep_blocked
 
 (* The metrics report behind `repro stats`: latency table per op kind,
    top-N contended cache lines, recovery durations, counters. *)

@@ -41,6 +41,7 @@ type reset_outcome = Rclean | Rreverted of string | Rpoisoned of string
 type heap = {
   hname : string;
   track : bool;
+  huid : int;  (* identity for footprints: allocation serializes per heap *)
   (* One closure per field: revert to the durable value on crash,
      reporting what that reset lost (if anything). *)
   mutable resets : (unit -> reset_outcome) list;
@@ -57,7 +58,13 @@ type heap = {
    unconditionally costs nothing observable when forensics is off (and
    the virtual-time cost model is untouched either way). *)
 type wb_entry =
-  | Apply of { aheap : heap; aline : string; asite : string; apply : unit -> unit }
+  | Apply of {
+      aheap : heap;
+      aline : string;
+      auid : int;  (* the line's identity, for footprints *)
+      asite : string;
+      apply : unit -> unit;
+    }
       (* complete this write-back; tagged with the owning heap so a
          heap-scoped crash ({!crash} [~scope:`Heap]) can resolve only
          the victim's entries *)
@@ -157,6 +164,13 @@ type instance = {
   mutable ialloc : (alloc_info -> unit) option;
   (* Crash log, newest first; cleared by [reset_pending]. *)
   mutable icrashes : crash_report list;
+  (* Access footprint for the explorer's partial-order reduction: one
+     entry per shared access, [uid lsl 2 lor kind], appended while
+     [fp_on].  Not an observer: no event is built, the buffer is reused,
+     and it composes with every hook above. *)
+  mutable fp_on : bool;
+  mutable fp_buf : int array;
+  mutable fp_len : int;
 }
 
 let create_instance () =
@@ -169,6 +183,9 @@ let create_instance () =
     iwb_obs = None;
     ialloc = None;
     icrashes = [];
+    fp_on = false;
+    fp_buf = [||];
+    fp_len = 0;
   }
 
 (* The domain's hot context: every simulated instruction consults the
@@ -189,6 +206,7 @@ type hot = {
   hcost : Cost.t;
   hpst : Pstats.dstats;
   mutable hinst : instance;
+  mutable next_uid : int;  (* next line or heap identity; see [footprint_restart] *)
 }
 
 let hot_key : hot Domain.DLS.key =
@@ -198,6 +216,7 @@ let hot_key : hot Domain.DLS.key =
         hcost = Cost.current ();
         hpst = Pstats.dstats ();
         hinst = create_instance ();
+        next_uid = 0;
       })
 
 let hot () = Domain.DLS.get hot_key
@@ -220,6 +239,52 @@ let set_wb_observer f = (instance ()).iwb_obs <- f
 let set_alloc_observer f = (instance ()).ialloc <- f
 let crash_reports () = List.rev (instance ()).icrashes
 
+(* ---- footprints -------------------------------------------------------- *)
+
+let fp_read = 0
+let fp_write = 1
+let fp_persist = 2
+
+let fp_add inst uid kind =
+  let n = inst.fp_len in
+  if n = Array.length inst.fp_buf then begin
+    let bigger = Array.make (max 64 (2 * n)) 0 in
+    Array.blit inst.fp_buf 0 bigger 0 n;
+    inst.fp_buf <- bigger
+  end;
+  inst.fp_buf.(n) <- (uid lsl 2) lor kind;
+  inst.fp_len <- n + 1
+
+(* How many instances log footprints, across domains: the accessors that
+   do not already hold the hot context ([on_line], [system_persist],
+   [peek]) skip its domain-local lookup while this is zero. *)
+let fp_instances = Atomic.make 0
+
+let set_footprint on =
+  let inst = instance () in
+  if on && not inst.fp_on then Atomic.incr fp_instances
+  else if (not on) && inst.fp_on then Atomic.decr fp_instances;
+  inst.fp_on <- on;
+  inst.fp_len <- 0
+
+let footprint_clear () = (instance ()).fp_len <- 0
+
+let footprint_restart () =
+  let ht = hot () in
+  ht.hinst.fp_len <- 0;
+  ht.next_uid <- 0
+
+let footprint_take () =
+  let inst = instance () in
+  let fp = Array.sub inst.fp_buf 0 inst.fp_len in
+  inst.fp_len <- 0;
+  fp
+
+let fresh_uid ht =
+  let u = ht.next_uid in
+  ht.next_uid <- u + 1;
+  u
+
 let observing inst =
   inst.itracer != None || inst.icollector != None || inst.iforensics != None
 
@@ -237,6 +302,7 @@ let reset_pending () =
 type line = {
   lheap : heap;
   lname : string;
+  luid : int;  (* identity for footprints; names recur, and ids are per heap *)
   lid : int;  (* per-heap allocation index (1-based); names recur, ids don't *)
   lsite : string;  (* allocation site derived from the name (site_of_name) *)
   mutable sharers : int;  (* bitmap of tids with a cached copy *)
@@ -260,17 +326,26 @@ type 'a t = {
 }
 
 let heap ?(track_for_crash = true) ?(name = "heap") () =
-  { hname = name; track = track_for_crash; resets = []; metas = []; n_lines = 0 }
+  {
+    hname = name;
+    track = track_for_crash;
+    huid = fresh_uid (hot ());
+    resets = [];
+    metas = [];
+    n_lines = 0;
+  }
 
 let lines_allocated h = h.n_lines
 let heap_name h = h.hname
 
 let new_line ?(name = "line") h =
+  let ht = hot () in
   h.n_lines <- h.n_lines + 1;
   let line =
     {
       lheap = h;
       lname = name;
+      luid = fresh_uid ht;
       lid = h.n_lines;
       lsite = site_of_name name;
       sharers = 0;
@@ -288,8 +363,8 @@ let new_line ?(name = "line") h =
         line.wb_owner <- -1;
         line.wb_until <- neg_infinity)
       :: h.metas;
-  let ht = hot () in
   let inst = ht.hinst in
+  if inst.fp_on then fp_add inst h.huid fp_write;
   (match inst.ialloc with
   | None -> ()
   | Some obs ->
@@ -316,6 +391,10 @@ let on_line line v =
   let fld = { line; v; durable = Never; poisoned = false } in
   line.persists <- (fun () -> fld.durable <- P fld.v) :: line.persists;
   let h = line.lheap in
+  if Atomic.get fp_instances > 0 then begin
+    let inst = instance () in
+    if inst.fp_on then fp_add inst h.huid fp_write
+  end;
   if h.track then
     h.resets <-
       (fun () ->
@@ -355,6 +434,9 @@ let read fld =
   let inst = ht.hinst in
   if observing inst then notify inst (Read { tid; line = line.lname; hit });
   Sim.h_step ht.hsim (if hit then c.cache_hit else c.cache_miss);
+  (* the value is taken after the scheduling point, so the access belongs
+     to the dispatch that resumes this thread *)
+  if inst.fp_on then fp_add inst line.luid fp_read;
   fld.v
 
 let take_ownership line tid =
@@ -376,6 +458,7 @@ let write fld v =
     notify inst
       (Write { tid; line = line.lname; hit = exclusive; invalidated = popcount others });
   Sim.h_step ht.hsim (if exclusive then c.write_hit else c.write_miss);
+  if inst.fp_on then fp_add inst line.luid fp_write;
   fld.v <- v
 
 (* Complete (persist) every outstanding write-back of [tid]. *)
@@ -384,6 +467,7 @@ let drain_queue inst tid =
   while not (Queue.is_empty q) do
     match Queue.pop q with
     | Apply a ->
+        if inst.fp_on then fp_add inst a.auid fp_persist;
         a.apply ();
         (match inst.iwb_obs with
         | None -> ()
@@ -432,6 +516,8 @@ let cas fld expected desired =
      instruction stream. *)
   Sim.h_step_as ht.hsim ~switch:base (base +. Float.max line_stall drain_stall);
   let success = fld.v == expected in
+  if inst.fp_on then
+    fp_add inst line.luid (if success then fp_write else fp_read);
   if observing inst then
     notify inst
       (Cas { tid; line = line.lname; success; invalidated = popcount others });
@@ -506,6 +592,7 @@ let pwb site line =
       let rec complete_oldest () =
         match Queue.pop q with
         | Apply a ->
+            if inst.fp_on then fp_add inst a.auid fp_persist;
             a.apply ();
             (match inst.iwb_obs with
             | None -> ()
@@ -519,6 +606,7 @@ let pwb site line =
          {
            aheap = line.lheap;
            aline = line.lname;
+           auid = line.luid;
            asite = Pstats.name site;
            apply = (fun () -> List.iter (fun f -> f ()) line.persists);
          })
@@ -841,11 +929,24 @@ let crash ?rng ?resolution ?(scope = `Machine) h =
 
 let system_persist fld v =
   check fld;
+  if Atomic.get fp_instances > 0 then begin
+    let inst = instance () in
+    if inst.fp_on then begin
+      fp_add inst fld.line.luid fp_write;
+      fp_add inst fld.line.luid fp_persist
+    end
+  end;
   fld.v <- v;
   fld.durable <- P v;
   Sim.step 0.
 
-let peek fld = fld.v
+let peek fld =
+  if Atomic.get fp_instances > 0 then begin
+    let inst = instance () in
+    if inst.fp_on then fp_add inst fld.line.luid fp_read
+  end;
+  fld.v
+
 let peek_persisted fld = match fld.durable with Never -> None | P p -> Some p
 let is_poisoned fld = fld.poisoned
 

@@ -163,6 +163,43 @@ val with_instance : instance -> (unit -> 'a) -> 'a
 (** [with_instance inst f] runs [f] with [inst] as the current instance,
     restoring the previous one on exit (exceptions included). *)
 
+(** {2 Access footprints}
+
+    A reusable buffer on the current instance recording every shared
+    access as one int, [uid lsl 2 lor kind]: [uid] identifies a cache
+    line (or, for allocations, the heap whose line counter and reset
+    lists they update) and [kind] is {!fp_read}, {!fp_write} or
+    {!fp_persist}.  Only the explorer's partial-order reduction turns it
+    on; it is not an observer and does not touch the tracer, collector,
+    forensics, write-back or allocation hooks.
+
+    Accesses are logged where their value is really taken: a [read],
+    [write] or [cas] after its scheduling point (so in the dispatch that
+    resumes the thread), a psync's or draining CAS's queue drain — one
+    persist per drained line — and a pwb's thread-local enqueue before
+    it.  A failed CAS is a read, a successful one a write. *)
+
+val fp_read : int
+val fp_write : int
+val fp_persist : int
+
+val set_footprint : bool -> unit
+(** Turn recording on or off for the current instance; empties the
+    buffer either way. *)
+
+val footprint_take : unit -> int array
+(** The entries logged since the last take or clear, oldest first; empties
+    the buffer. *)
+
+val footprint_clear : unit -> unit
+
+val footprint_restart : unit -> unit
+(** Empty the buffer and restart line and heap identities from zero, so
+    that an execution replayed from the same decisions numbers its lines
+    the same way: footprints kept from an earlier run of a shared prefix
+    stay comparable with fresh ones.  Call it before each execution; no
+    line from an earlier one may be accessed afterwards. *)
+
 (** {1 Heaps} *)
 
 type heap

@@ -72,6 +72,10 @@ type engine = {
   pending_intr : exn option array;
   intr_sched : (int * exn) list array;
   dispatch_counts : int array;
+  (* [ready_bufs.(k)] is the array handed to [choose] when [k] fibers
+     are ready: reused across decisions, so a decision allocates
+     nothing (the chooser must not keep it past the call). *)
+  mutable ready_bufs : int array array;
 }
 
 type ctx = {
@@ -191,16 +195,28 @@ let ready_index_of_tid e tid =
   done;
   !found
 
-(* The ready tids at this decision, in ascending order (for [choose]). *)
+(* The ready tids at this decision, in ascending order (for [choose]),
+   in the reused buffer of that length; insertion sort, since a handful
+   of fibers is the norm. *)
 let ready_tids e =
   let n = e.ready_len in
-  let tids = Array.make n (-1) in
+  if n >= Array.length e.ready_bufs then begin
+    let bigger = Array.make (max (n + 1) (2 * Array.length e.ready_bufs)) [||] in
+    Array.blit e.ready_bufs 0 bigger 0 (Array.length e.ready_bufs);
+    e.ready_bufs <- bigger
+  end;
+  if Array.length e.ready_bufs.(n) <> n then e.ready_bufs.(n) <- Array.make n (-1);
+  let tids = e.ready_bufs.(n) in
   for j = 0 to n - 1 do
     let t = e.slot_tid.(e.ready_slot.(j)) in
     assert (t >= 0);
-    tids.(j) <- t
+    let k = ref j in
+    while !k > 0 && tids.(!k - 1) > t do
+      tids.(!k) <- tids.(!k - 1);
+      decr k
+    done;
+    tids.(!k) <- t
   done;
-  Array.sort compare tids;
   tids
 
 (* Consume the next replay-tape entry, if any: [Some i] is the ready
@@ -466,12 +482,47 @@ let run ?(policy = `Perf) ?(seed = 0) ?(crash_at = -1) ?(step_limit = -1)
       pending_intr = Array.make (max n 1) None;
       intr_sched;
       dispatch_counts = Array.make (max n 1) 0;
+      ready_bufs = [||];
     }
   in
   let contexts =
     Array.init n (fun i ->
         { ctid = i; engine = e; pending_cost = 0.; since_yield = 0 })
   in
+  (* [st.cur] values, boxed once per run instead of once per dispatch *)
+  let some_contexts = Array.map (fun c -> Some c) contexts in
+  (* The Yield handler of fiber [i], boxed once per run rather than once
+     per scheduling step. *)
+  let on_yield i : ((unit, status) Effect.Deep.continuation -> status) option =
+    Some
+      (fun k ->
+        let c = contexts.(i) in
+        e.clocks.(i) <- e.clocks.(i) +. c.pending_cost;
+        c.pending_cost <- 0.;
+        e.steps <- e.steps + 1;
+        (* Boundary convention (see sim.mli): a bound of n fires at the
+           n-th scheduling step — steps 1..n-1 complete normally, the
+           n-th [step] call does not return.  Both bounds use the same
+           comparison so the explorer's crash-point enumeration is
+           exact. *)
+        if e.aborting || (e.step_limit >= 1 && e.steps >= e.step_limit)
+        then begin
+          (* Unwind this fiber here (its finalizers run); [exnc]
+             re-raises into the driver loop, which tears the remaining
+             fibers down before letting Step_limit escape. *)
+          e.aborting <- true;
+          Effect.Deep.discontinue k Step_limit
+        end
+        else begin
+          if e.crash_at >= 1 && e.steps >= e.crash_at then mark_crashing st e;
+          if e.crashing then Effect.Deep.discontinue k Crashed
+          else begin
+            enqueue e i (Cont k);
+            Suspended
+          end
+        end)
+  in
+  let yield_handlers = Array.init n on_yield in
   let handler i : (unit, status) Effect.Deep.handler =
     {
       retc = (fun () -> Done);
@@ -479,38 +530,7 @@ let run ?(policy = `Perf) ?(seed = 0) ?(crash_at = -1) ?(step_limit = -1)
       effc =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
-          | Yield ->
-              Some
-                (fun (k : (a, status) Effect.Deep.continuation) ->
-                  let c = contexts.(i) in
-                  e.clocks.(i) <- e.clocks.(i) +. c.pending_cost;
-                  c.pending_cost <- 0.;
-                  e.steps <- e.steps + 1;
-                  (* Boundary convention (see sim.mli): a bound of n
-                     fires at the n-th scheduling step — steps 1..n-1
-                     complete normally, the n-th [step] call does not
-                     return.  Both bounds use the same comparison so the
-                     explorer's crash-point enumeration is exact. *)
-                  if
-                    e.aborting
-                    || (e.step_limit >= 1 && e.steps >= e.step_limit)
-                  then begin
-                    (* Unwind this fiber here (its finalizers run);
-                       [exnc] re-raises into the driver loop, which
-                       tears the remaining fibers down before letting
-                       Step_limit escape. *)
-                    e.aborting <- true;
-                    Effect.Deep.discontinue k Step_limit
-                  end
-                  else begin
-                    if e.crash_at >= 1 && e.steps >= e.crash_at then
-                      mark_crashing st e;
-                    if e.crashing then Effect.Deep.discontinue k Crashed
-                    else begin
-                      enqueue e i (Cont k);
-                      Suspended
-                    end
-                  end)
+          | Yield -> (yield_handlers.(i) : ((a, status) Effect.Deep.continuation -> status) option)
           | _ -> None);
     }
   in
@@ -528,13 +548,13 @@ let run ?(policy = `Perf) ?(seed = 0) ?(crash_at = -1) ?(step_limit = -1)
         (match fiber with
         | Thunk _ -> () (* never started: nothing volatile to unwind *)
         | Cont k ->
-            st.cur <- Some contexts.(i);
+            st.cur <- some_contexts.(i);
             ignore (Effect.Deep.discontinue k Crashed : status);
             st.cur <- None);
         loop ()
       end
       else begin
-        st.cur <- Some contexts.(i);
+        st.cur <- some_contexts.(i);
         (match st.dtracer with
         | None -> ()
         | Some f ->
@@ -569,7 +589,7 @@ let run ?(policy = `Perf) ?(seed = 0) ?(crash_at = -1) ?(step_limit = -1)
       match fiber with
       | Thunk _ -> () (* never started: nothing to unwind *)
       | Cont k ->
-          st.cur <- Some contexts.(i);
+          st.cur <- some_contexts.(i);
           (try ignore (Effect.Deep.discontinue k Step_limit : status)
            with _ -> ());
           st.cur <- None

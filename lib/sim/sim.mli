@@ -98,7 +98,9 @@ val run :
     scheduling policy: it receives the ready tids in ascending order and
     must return one of them ([~crashing:true] marks post-crash drain
     decisions, whose order is semantically inert).  Used by the
-    exploration harness to enumerate schedules deterministically.
+    exploration harness to enumerate schedules deterministically.  The
+    array is a buffer the engine reuses at its next decision: read it
+    during the call, never keep it.
 
     [interrupts] is a static per-fiber fault schedule: each entry
     [(tid, at, exn)] (with [at >= 1], 1-based) arms [exn] for delivery at

@@ -218,6 +218,34 @@ let test_capsules_crash_sweep () =
       done)
     [ `General; `Opt ]
 
+(* Regression: RedoOpt used to link a new log batch into the durable
+   tail before the batch itself was durable, with both pwbs in one fence
+   segment, so a crash could persist the link and drop the batch
+   ("touched never-persisted data: redo.batch").  These are the campaign
+   seeds (4 threads x 8 ops, 3 crashes) that caught it. *)
+let test_redo_batch_before_link () =
+  let cfg =
+    Crashes.
+      {
+        factory = Set_intf.redo;
+        threads = 4;
+        ops_per_thread = 8;
+        workload =
+          {
+            (Workload.default Workload.update_intensive) with
+            key_range = 32;
+            prefill_n = 16;
+          };
+        max_crashes = 3;
+      }
+  in
+  List.iter
+    (fun seed ->
+      match Crashes.run_once cfg ~seed with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "redo-opt campaign seed %d: %s" seed e)
+    [ 10021; 250018; 1260020 ]
+
 let suite =
   [
     Alcotest.test_case "sequential model agreement (all)" `Quick
@@ -233,4 +261,6 @@ let suite =
     Alcotest.test_case "redo, every crash point" `Quick test_redo_crash_sweep;
     Alcotest.test_case "capsules, every crash point (both variants)" `Quick
       test_capsules_crash_sweep;
+    Alcotest.test_case "redo: batch durable before it is linked" `Quick
+      test_redo_batch_before_link;
   ]

@@ -96,6 +96,31 @@ let test_explore_jobs_same_counterexample () =
     "keep-going failure counts agree" k1.Explore.stats.failures
     k2.Explore.stats.failures
 
+(* With partial-order reduction on (the default) the tree is split only
+   at crash and write-back frames, so races add alternatives inside one
+   work item and every counter — the reduction's own included — sums to
+   the sequential value. *)
+let test_explore_reduced_jobs_identical () =
+  List.iter
+    (fun algo ->
+      let cfg = explore_cfg ~algo ~seed:1 ~preemptions:1 in
+      let o1 = Explore.run ~stop_on_failure:false ~reduce:true ~jobs:1 cfg in
+      let o4 = Explore.run ~stop_on_failure:false ~reduce:true ~jobs:4 cfg in
+      Alcotest.(check bool) (algo ^ ": j1 exhausted") true o1.Explore.stats.complete;
+      Alcotest.(check bool)
+        (algo ^ ": the reduction found races")
+        true
+        (o1.Explore.stats.races > 0);
+      Alcotest.(check bool)
+        (algo ^ ": j4 stats = j1 stats")
+        true
+        (o1.Explore.stats = o4.Explore.stats);
+      Alcotest.(check string)
+        (algo ^ ": same first counterexample")
+        (repro_bytes o1.Explore.failure)
+        (repro_bytes o4.Explore.failure))
+    [ "tracking"; "tracking-broken" ]
+
 let test_causal_jobs_identical () =
   let factory = Result.get_ok (Set_intf.by_name "tracking") in
   let cfg =
@@ -241,4 +266,6 @@ let suite =
       test_interleaved_runs_isolated;
     Alcotest.test_case "work items insensitive to completion order" `Quick
       test_completion_order_insensitive;
+    Alcotest.test_case "reduced explore -j 4 = -j 1 (every counter)" `Quick
+      test_explore_reduced_jobs_identical;
   ]
