@@ -1,5 +1,5 @@
 # Tier-1 verification: everything CI runs.
-.PHONY: check build test explore-smoke por-smoke metrics-smoke causal-smoke serve-smoke parbench-smoke memento-smoke forensics-smoke space-smoke elastic-smoke clean figures
+.PHONY: check build test explore-smoke por-smoke explore-deep metrics-smoke causal-smoke serve-smoke parbench-smoke memento-smoke forensics-smoke space-smoke elastic-smoke clean figures
 
 check: build test explore-smoke por-smoke metrics-smoke causal-smoke serve-smoke parbench-smoke memento-smoke forensics-smoke space-smoke elastic-smoke
 
@@ -19,7 +19,9 @@ explore-smoke:
 # --no-reduce must reach the same verdict and coverage, with the reduced
 # search running at most a tenth of the executions; the negative control
 # must still be caught with reduction on (nonzero exit), and the
-# benchmark's tree must be exhausted cleanly.
+# benchmark's tree must be exhausted cleanly with exactly the report in
+# test/expected/por-tree-tracking.txt — every count of the search, so a
+# change to any scheduling decision shows, not only a changed verdict.
 POR_SMOKE = -a tracking -t 2 --ops 1 --keys 4 --prefill 1 --preemptions 2 \
 	  --crashes 1 --wb 2 --max-execs 0
 POR_TREE = -t 2 --ops 2 --keys 8 --prefill 2 --preemptions 1 --crashes 1 \
@@ -38,7 +40,20 @@ por-smoke:
 	  test $$((r * 10)) -le $$f
 	! dune exec bin/repro.exe -- explore -a tracking-broken $(POR_TREE) \
 	  > /dev/null 2>&1
-	dune exec bin/repro.exe -- explore -a tracking $(POR_TREE) 2>/dev/null
+	dune exec bin/repro.exe -- explore -a tracking $(POR_TREE) 2>/dev/null \
+	  > _build/por-tree.txt
+	cmp test/expected/por-tree-tracking.txt _build/por-tree.txt
+
+# The benchmark's tree at preemption bound 2: about 560k executions, so
+# it runs on two domains and stays out of `make check`.  It must be
+# exhausted with no failure.
+explore-deep:
+	dune exec bin/repro.exe -- explore -a tracking -t 2 --ops 2 --keys 8 \
+	  --prefill 2 --preemptions 2 --crashes 1 --wb 1 --max-execs 0 --seed 0 \
+	  -j 2 2>/dev/null > _build/explore-deep.txt
+	cat _build/explore-deep.txt
+	grep -qx 'failures          0' _build/explore-deep.txt
+	grep -q '^coverage          complete' _build/explore-deep.txt
 
 # Metrics + Perfetto smoke: a small campaign with metrics and tracing on;
 # --validate re-parses the emitted trace_event JSON and requires at least

@@ -25,7 +25,7 @@ type sites = {
   cleanup_sync : Pstats.site;
 }
 
-let sites prefix =
+let make_sites prefix =
   let pwb name = Pstats.make Pwb (prefix ^ "." ^ name) in
   let fence name = Pstats.make Pfence (prefix ^ "." ^ name) in
   let sync name = Pstats.make Psync (prefix ^ "." ^ name) in
@@ -50,6 +50,24 @@ let sites prefix =
     cleanup_pwb = pwb "cleanup.pwb";
     cleanup_sync = sync "cleanup.psync";
   }
+
+(* Every structure construction asks for its prefix's sites, and
+   registering them again would only find the same ones (through the
+   registry's mutex, once per site), so they are kept per prefix.
+   Prefixes are static names, so the table stays small.  Domain-safe
+   without a lock: an immutable list behind an atomic, extended by CAS;
+   two domains racing on a new prefix both register it — [Pstats.make]
+   returns the same sites, in the same registry order, to both. *)
+let memo : (string * sites) list Atomic.t = Atomic.make []
+
+let rec sites prefix =
+  let known = Atomic.get memo in
+  match List.assoc_opt prefix known with
+  | Some s -> s
+  | None ->
+      let s = make_sites prefix in
+      if Atomic.compare_and_set memo known ((prefix, s) :: known) then s
+      else sites prefix
 
 (* Cleanup phase: untag every node recorded for cleanup.  A deleted node
    is deliberately absent from this set and remains tagged forever. *)

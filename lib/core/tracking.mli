@@ -23,7 +23,9 @@ type sites
 
 val sites : string -> sites
 (** [sites prefix] registers the engine's pwb/pfence/psync sites under
-    [prefix] (e.g. ["rlist"]). *)
+    [prefix] (e.g. ["rlist"]).  The first call for a prefix registers
+    them; later calls, from any domain, return the same sites without
+    touching the registry. *)
 
 val help : 'n node_ops -> sites -> 'n Desc.t -> unit
 (** Algorithm 2.  Idempotent; safe to call from any thread, including

@@ -24,6 +24,10 @@ type engine = {
   policy : [ `Perf | `Random ];
   rng : Random.State.t;
   clocks : float array;
+  (* Cost charged since each fiber's last scheduling point, not yet on
+     its clock (perf mode batches cheap steps).  A float array, not a
+     [ctx] field, so charging a step allocates no float box. *)
+  pending : float array;
   (* Min-heap of ready fibers for the perf policy, keyed by
      (clock, insertion seq); the race policy picks uniformly from the
      same arrays.  Kept as three parallel unboxed arrays — one float
@@ -76,12 +80,21 @@ type engine = {
      are ready: reused across decisions, so a decision allocates
      nothing (the chooser must not keep it past the call). *)
   mutable ready_bufs : int array array;
+  (* A switch decided at a yield point (see [yield_point]): [pick] is the
+     ready index the yielding fiber chose, handed to its Yield handler;
+     [next_slot] is the slot the handler took out of the queue for the
+     run loop to dispatch; [stash] is an exception [choose] raised,
+     re-raised by the run loop outside every fiber.  -1/None when
+     unset. *)
+  mutable pick : int;
+  mutable next_slot : int;
+  mutable stash : (exn * Printexc.raw_backtrace) option;
+  dst : domain_state; (* the running domain's, for the tracer *)
 }
 
-type ctx = {
+and ctx = {
   ctid : int;
   engine : engine;
-  mutable pending_cost : float; (* perf-mode batched cost not yet yielded *)
   mutable since_yield : int;
 }
 
@@ -91,7 +104,7 @@ type ctx = {
    one domain does may leak into another.  Module-level refs — the old
    representation — are shared across domains and would let concurrent
    runs observe each other's scheduler state. *)
-type domain_state = {
+and domain_state = {
   mutable cur : ctx option;
   mutable dtracer : (trace_event -> unit) option;
 }
@@ -185,8 +198,6 @@ let remove_at e i =
   end;
   slot
 
-let heap_pop_min e = remove_at e 0
-
 let ready_index_of_tid e tid =
   let n = e.ready_len in
   let found = ref (-1) in
@@ -195,20 +206,22 @@ let ready_index_of_tid e tid =
   done;
   !found
 
-(* The ready tids at this decision, in ascending order (for [choose]),
-   in the reused buffer of that length; insertion sort, since a handful
-   of fibers is the norm. *)
-let ready_tids e =
+(* The tids at this decision, in ascending order (for [choose]), in the
+   reused buffer of that length: every ready fiber, plus [self] when a
+   fiber decides at its own yield point ([self] = -1 in the run
+   loop).  Insertion sort, since a handful of fibers is the norm. *)
+let ready_tids e self =
   let n = e.ready_len in
-  if n >= Array.length e.ready_bufs then begin
-    let bigger = Array.make (max (n + 1) (2 * Array.length e.ready_bufs)) [||] in
+  let m = if self >= 0 then n + 1 else n in
+  if m >= Array.length e.ready_bufs then begin
+    let bigger = Array.make (max (m + 1) (2 * Array.length e.ready_bufs)) [||] in
     Array.blit e.ready_bufs 0 bigger 0 (Array.length e.ready_bufs);
     e.ready_bufs <- bigger
   end;
-  if Array.length e.ready_bufs.(n) <> n then e.ready_bufs.(n) <- Array.make n (-1);
-  let tids = e.ready_bufs.(n) in
-  for j = 0 to n - 1 do
-    let t = e.slot_tid.(e.ready_slot.(j)) in
+  if Array.length e.ready_bufs.(m) <> m then e.ready_bufs.(m) <- Array.make m (-1);
+  let tids = e.ready_bufs.(m) in
+  for j = 0 to m - 1 do
+    let t = if j = n then self else e.slot_tid.(e.ready_slot.(j)) in
     assert (t >= 0);
     let k = ref j in
     while !k > 0 && tids.(!k - 1) > t do
@@ -219,44 +232,71 @@ let ready_tids e =
   done;
   tids
 
-(* Consume the next replay-tape entry, if any: [Some i] is the ready
-   index of the recorded tid.  A recorded tid that is not ready is a
-   divergence: it is reported and the decision falls back to the active
-   policy — silently substituting a policy pick used to "replay" a
-   different execution while claiming success. *)
-let take_replay e =
-  if e.replay_pos >= Array.length e.replay then None
+(* The ready index of [tid]; [ready_len] stands for [self], the fiber
+   deciding at its own yield point, which is not in the queue. *)
+let index_of e self tid =
+  if self >= 0 && tid = self then e.ready_len else ready_index_of_tid e tid
+
+let choose_index e f self =
+  let tid = f ~crashing:e.crashing (ready_tids e self) in
+  let i = index_of e self tid in
+  if i < 0 then
+    failwith (Printf.sprintf "Sim: choose picked tid %d, which is not ready" tid)
+  else i
+
+(* The active policy's pick.  A deciding fiber takes the slot it would
+   have had if appended to the queue: index [n] for the rng (so the draw
+   is the one an enqueue-then-dequeue made), and under [`Perf] only when
+   its (clock, next seq) is below the heap root — a new seq loses every
+   tie, so tied clocks keep their order. *)
+let policy_pick e self =
+  let n = e.ready_len in
+  match e.policy with
+  | `Perf ->
+      if self >= 0 && (n = 0 || e.clocks.(self) < e.ready_clock.(0)) then n
+      else 0
+  | `Random -> (
+      match e.choose with
+      | None -> Random.State.int e.rng (if self >= 0 then n + 1 else n)
+      | Some f -> (
+          try choose_index e f self
+          with exn when self >= 0 ->
+            (* not unwound through the deciding fiber's own code: the
+               run loop re-raises it outside every fiber *)
+            e.stash <- Some (exn, Printexc.get_raw_backtrace ());
+            -1))
+
+(* One scheduling decision: the next replay-tape entry, else the active
+   policy ([choose], the seeded rng, or the perf heap).  [self] is the
+   tid of a fiber deciding at its own yield point (index [ready_len]
+   stands for it), or -1 in the run loop.  Returns the ready index to
+   dispatch, or -1 when a deciding fiber must leave the decision to the
+   run loop: [choose] raised (stashed), or the tape diverges here.
+
+   A recorded tid that is not ready is a divergence: the run loop
+   consumes the entry, reports it and falls back to the active policy —
+   silently substituting a policy pick used to "replay" a different
+   execution while claiming success. *)
+let decide e self =
+  if e.replay_pos >= Array.length e.replay then policy_pick e self
   else begin
     let want = e.replay.(e.replay_pos) in
-    e.replay_pos <- e.replay_pos + 1;
-    let i = ready_index_of_tid e want in
-    if i < 0 then begin
+    let i = index_of e self want in
+    if i >= 0 then begin
+      e.replay_pos <- e.replay_pos + 1;
+      i
+    end
+    else if self >= 0 then -1
+    else begin
+      e.replay_pos <- e.replay_pos + 1;
       (match e.divergence with
       | None -> ()
       | Some f -> f ~step:e.steps ~want);
-      None
+      policy_pick e self
     end
-    else Some i
   end
 
-let pop_random e =
-  let n = e.ready_len in
-  assert (n > 0);
-  let i =
-    match e.choose with
-    | Some f ->
-        let tid = f ~crashing:e.crashing (ready_tids e) in
-        let i = ready_index_of_tid e tid in
-        if i < 0 then
-          failwith
-            (Printf.sprintf "Sim: choose picked tid %d, which is not ready"
-               tid)
-        else i
-    | None -> Random.State.int e.rng n
-  in
-  remove_at e i
-
-let enqueue e tid fiber =
+let alloc_slot e tid fiber =
   let slot =
     if e.free_top > 0 then begin
       e.free_top <- e.free_top - 1;
@@ -282,17 +322,35 @@ let enqueue e tid fiber =
   in
   e.slot_tid.(slot) <- tid;
   e.slot_fiber.(slot) <- fiber;
+  slot
+
+let enqueue e tid fiber =
+  let slot = alloc_slot e tid fiber in
   e.seq <- e.seq + 1;
   heap_push e e.clocks.(tid) e.seq slot
 
-(* Pick the next fiber to dispatch; returns its slot — the caller reads
-   [slot_tid]/[slot_fiber] and then frees the slot with [release]. *)
+(* Enqueue [tid] and take out ready index [i] in one move: the new entry
+   lands at [i], which is where an append followed by [remove_at i]
+   leaves it (the rng's view of the queue is positional); under [`Perf]
+   the heap is restored in place.  Returns the removed entry's slot. *)
+let replace_at e i tid fiber =
+  let old = e.ready_slot.(i) in
+  let slot = alloc_slot e tid fiber in
+  e.seq <- e.seq + 1;
+  e.ready_clock.(i) <- e.clocks.(tid);
+  e.ready_seq.(i) <- e.seq;
+  e.ready_slot.(i) <- slot;
+  if e.policy = `Perf then begin
+    sift_down e i;
+    sift_up e i
+  end;
+  old
+
+(* Pick the next fiber to dispatch from the run loop; returns its
+   slot — the caller reads [slot_tid]/[slot_fiber] and then frees the
+   slot with [release]. *)
 let dequeue e =
-  let slot =
-    match take_replay e with
-    | Some i -> remove_at e i
-    | None -> if e.policy = `Perf then heap_pop_min e else pop_random e
-  in
+  let slot = remove_at e (decide e (-1)) in
   assert (e.slot_tid.(slot) >= 0);
   (match e.record with None -> () | Some f -> f e.slot_tid.(slot));
   slot
@@ -318,7 +376,7 @@ let tid () = (ctx_exn "Sim.tid").ctid
 
 let now () =
   let c = ctx_exn "Sim.now" in
-  c.engine.clocks.(c.ctid) +. c.pending_cost
+  c.engine.clocks.(c.ctid) +. c.engine.pending.(c.ctid)
 
 let random_state () = (ctx_exn "Sim.random_state").engine.rng
 
@@ -355,10 +413,75 @@ let due_interrupt e tid =
           Some exn
       | _ -> None)
 
+let mark_crashing e =
+  if not e.crashing then begin
+    e.crashing <- true;
+    match e.dst.dtracer with
+    | None -> ()
+    | Some f -> f (Crash { step = e.steps })
+  end
+
+(* The dispatch bookkeeping, in order: the tracer's [Sched] event, the
+   dispatch count, then the interrupt due at this resumption, if any. *)
+let note_dispatch e tid =
+  (match e.dst.dtracer with
+  | None -> ()
+  | Some f -> f (Sched { step = e.steps; tid; clock = e.clocks.(tid) }));
+  e.dispatch_counts.(tid) <- e.dispatch_counts.(tid) + 1
+
+(* A scheduling point of fiber [c], taken on its own stack.  The step's
+   accounting and the scheduling decision happen here; when the decision
+   is this same fiber — the common case by far — it resumes in place:
+   no effect, no enqueue, no dequeue.  Only a switch to another fiber
+   performs [Yield], with the decision already in [e.pick] for the
+   handler.  A step at which a crash or the step limit fires, a tape
+   divergence and a raising [choose] also go through the handler, which
+   leaves the run loop to act exactly as before.
+
+   Boundary convention (see sim.mli): a bound of n fires at the n-th
+   scheduling step — steps 1..n-1 complete normally, the n-th [step]
+   call does not return.  Both bounds use the same comparison so the
+   explorer's crash-point enumeration is exact. *)
+let yield_point c =
+  let e = c.engine and i = c.ctid in
+  e.clocks.(i) <- e.clocks.(i) +. e.pending.(i);
+  e.pending.(i) <- 0.;
+  e.steps <- e.steps + 1;
+  if e.aborting || (e.step_limit >= 1 && e.steps >= e.step_limit) then begin
+    e.aborting <- true;
+    Effect.perform Yield
+  end
+  else begin
+    if e.crash_at >= 1 && e.steps >= e.crash_at then mark_crashing e;
+    if e.crashing then Effect.perform Yield
+    else begin
+      let d = decide e i in
+      if d < 0 then Effect.perform Yield
+      else begin
+        let n = e.ready_len in
+        (match e.record with
+        | None -> ()
+        | Some f -> f (if d = n then i else e.slot_tid.(e.ready_slot.(d))));
+        if d < n then begin
+          e.pick <- d;
+          Effect.perform Yield
+        end
+        else begin
+          note_dispatch e i;
+          (* the point [discontinue] delivers it at when the run
+             loop resumes a fiber *)
+          match due_interrupt e i with Some exn -> raise exn | None -> ()
+        end
+      end
+    end
+  end
+
 let advance cost =
   match (state ()).cur with
   | None -> ()
-  | Some c -> c.pending_cost <- c.pending_cost +. cost
+  | Some c ->
+      let p = c.engine.pending in
+      p.(c.ctid) <- p.(c.ctid) +. cost
 
 (* In perf mode, cheap cache-hit accesses are batched: the clock advances
    but a scheduling point is only offered every [yield_stride] accesses or
@@ -375,7 +498,8 @@ let expensive_threshold = 10.0
    recorded schedule, and the replayed run would silently be a different
    interleaving. *)
 let ctx_step_as c ~switch cost =
-  c.pending_cost <- c.pending_cost +. cost;
+  let p = c.engine.pending in
+  p.(c.ctid) <- p.(c.ctid) +. cost;
   c.since_yield <- c.since_yield + 1;
   let must_switch =
     match c.engine.policy with
@@ -384,7 +508,7 @@ let ctx_step_as c ~switch cost =
   in
   if must_switch then begin
     c.since_yield <- 0;
-    Effect.perform Yield
+    yield_point c
   end
 
 let step_as ~switch cost =
@@ -409,7 +533,7 @@ let h_tid h = match h.cur with Some c -> c.ctid | None -> 0
 
 let h_now h =
   match h.cur with
-  | Some c -> c.engine.clocks.(c.ctid) +. c.pending_cost
+  | Some c -> c.engine.clocks.(c.ctid) +. c.engine.pending.(c.ctid)
   | None -> 0.
 
 let h_step_as h ~switch cost =
@@ -417,17 +541,9 @@ let h_step_as h ~switch cost =
 
 let h_step h cost = h_step_as h ~switch:cost cost
 
-let mark_crashing st e =
-  if not e.crashing then begin
-    e.crashing <- true;
-    match st.dtracer with
-    | None -> ()
-    | Some f -> f (Crash { step = e.steps })
-  end
-
 let request_crash () =
   let c = ctx_exn "Sim.request_crash" in
-  mark_crashing (state ()) c.engine;
+  mark_crashing c.engine;
   raise Crashed
 
 (* ---- the driver ------------------------------------------------------ *)
@@ -460,6 +576,7 @@ let run ?(policy = `Perf) ?(seed = 0) ?(crash_at = -1) ?(step_limit = -1)
          order — or on any domain — and observe identical draws. *)
       rng = Random.State.make [| seed; 0x51ED; n |];
       clocks = Array.make (max n 1) 0.;
+      pending = Array.make (max n 1) 0.;
       ready_clock = Array.make cap 0.;
       ready_seq = Array.make cap 0;
       ready_slot = Array.make cap 0;
@@ -483,43 +600,39 @@ let run ?(policy = `Perf) ?(seed = 0) ?(crash_at = -1) ?(step_limit = -1)
       intr_sched;
       dispatch_counts = Array.make (max n 1) 0;
       ready_bufs = [||];
+      pick = -1;
+      next_slot = -1;
+      stash = None;
+      dst = st;
     }
   in
   let contexts =
     Array.init n (fun i ->
-        { ctid = i; engine = e; pending_cost = 0.; since_yield = 0 })
+        { ctid = i; engine = e; since_yield = 0 })
   in
   (* [st.cur] values, boxed once per run instead of once per dispatch *)
   let some_contexts = Array.map (fun c -> Some c) contexts in
   (* The Yield handler of fiber [i], boxed once per run rather than once
-     per scheduling step. *)
+     per scheduling step.  The fiber has done the step's accounting and
+     flagged what it needs ([yield_point]). *)
   let on_yield i : ((unit, status) Effect.Deep.continuation -> status) option =
     Some
       (fun k ->
-        let c = contexts.(i) in
-        e.clocks.(i) <- e.clocks.(i) +. c.pending_cost;
-        c.pending_cost <- 0.;
-        e.steps <- e.steps + 1;
-        (* Boundary convention (see sim.mli): a bound of n fires at the
-           n-th scheduling step — steps 1..n-1 complete normally, the
-           n-th [step] call does not return.  Both bounds use the same
-           comparison so the explorer's crash-point enumeration is
-           exact. *)
-        if e.aborting || (e.step_limit >= 1 && e.steps >= e.step_limit)
-        then begin
+        if e.aborting then
           (* Unwind this fiber here (its finalizers run); [exnc]
-             re-raises into the driver loop, which tears the remaining
+             re-raises into the run loop, which tears the remaining
              fibers down before letting Step_limit escape. *)
-          e.aborting <- true;
           Effect.Deep.discontinue k Step_limit
-        end
+        else if e.crashing then Effect.Deep.discontinue k Crashed
         else begin
-          if e.crash_at >= 1 && e.steps >= e.crash_at then mark_crashing st e;
-          if e.crashing then Effect.Deep.discontinue k Crashed
-          else begin
-            enqueue e i (Cont k);
-            Suspended
+          let d = e.pick in
+          if d >= 0 then begin
+            (* a switch the fiber decided: hand the loop its pick *)
+            e.pick <- -1;
+            e.next_slot <- replace_at e d i (Cont k)
           end
+          else enqueue e i (Cont k);
+          Suspended
         end)
   in
   let yield_handlers = Array.init n on_yield in
@@ -539,8 +652,20 @@ let run ?(policy = `Perf) ?(seed = 0) ?(crash_at = -1) ?(step_limit = -1)
     enqueue e i (Thunk (start i))
   done;
   let rec loop () =
+    (match e.stash with
+    | None -> ()
+    | Some (exn, bt) ->
+        e.stash <- None;
+        Printexc.raise_with_backtrace exn bt);
     if e.ready_len > 0 then begin
-      let slot = dequeue e in
+      let slot =
+        let s = e.next_slot in
+        if s >= 0 then begin
+          e.next_slot <- -1;
+          s
+        end
+        else dequeue e
+      in
       let i = e.slot_tid.(slot) in
       let fiber = e.slot_fiber.(slot) in
       release e slot;
@@ -555,11 +680,7 @@ let run ?(policy = `Perf) ?(seed = 0) ?(crash_at = -1) ?(step_limit = -1)
       end
       else begin
         st.cur <- some_contexts.(i);
-        (match st.dtracer with
-        | None -> ()
-        | Some f ->
-            f (Sched { step = e.steps; tid = i; clock = e.clocks.(i) }));
-        e.dispatch_counts.(i) <- e.dispatch_counts.(i) + 1;
+        note_dispatch e i;
         (* Fault injection is delivered at a resumption only: a Thunk has
            not installed its handlers yet, so an exception raised into it
            would escape the whole run instead of reaching the fiber's own

@@ -52,8 +52,9 @@ val set_tracer : (trace_event -> unit) option -> unit
 (** Observability hook (see {!Harness.Trace}): when set, the engine calls
     it on every scheduling decision and at the crash boundary.  The hook
     is {e domain-local} — installing a tracer affects runs on the calling
-    domain only.  The disabled path costs a single domain-local read per
-    dispatch — no allocation. *)
+    domain only.  The disabled path costs a single read per dispatch —
+    no allocation.  The hook may run on the dispatched fiber's stack
+    (see {!run}). *)
 
 val run :
   ?policy:[ `Perf | `Random ] ->
@@ -101,6 +102,20 @@ val run :
     exploration harness to enumerate schedules deterministically.  The
     array is a buffer the engine reuses at its next decision: read it
     during the call, never keep it.
+
+    {b Where the callbacks run.}  A fiber takes each scheduling
+    decision at its own yield point and, when the decision picks that
+    same fiber, resumes in place without an effect switch.  [choose],
+    [record] and the tracer (see {!set_tracer}) may therefore run on the
+    yielding fiber's stack, where {!in_sim} is [true] and {!tid} names
+    that fiber; they must not call {!step} or otherwise re-enter the
+    engine.  Their exceptions still escape [run] only after every fiber
+    has been torn down.  One raised by [choose] is never unwound through
+    the deciding fiber's own code (one raised by [record] or the tracer
+    on a fiber's stack unwinds that fiber first).  Decisions
+    are those of a full enqueue-then-dequeue round trip, draw for draw,
+    so recorded schedules and seeded runs are unchanged, and an
+    interrupt is still delivered at the same resumption.
 
     [interrupts] is a static per-fiber fault schedule: each entry
     [(tid, at, exn)] (with [at >= 1], 1-based) arms [exn] for delivery at

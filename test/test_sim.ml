@@ -423,6 +423,263 @@ let test_self_interrupt_raises_immediately () =
       : Sim.outcome);
   Alcotest.(check bool) "self-interrupt raised in place" true !caught
 
+(* -- in-place resumption ---------------------------------------------------
+
+   A fiber takes each scheduling decision at its own yield point and, when
+   it picks itself, resumes in place without an effect switch.  The four
+   decision sources (seeded rng, replay tape under either policy, an
+   external [choose]) must still make every decision exactly as a full
+   enqueue-then-dequeue round trip would: replaying one run's recorded
+   picks through each of them reproduces the run event for event. *)
+
+exception Intr of int
+
+type observed = {
+  scheds : (int * int * float) list;  (* Sched events: step, tid, clock *)
+  crash_events : int list;
+  log : (int * int * int * float) list;  (* tid, step index, dispatches, now *)
+  final : int array;  (* each fiber's dispatch count when it ended *)
+  result : (Sim.outcome, string) result;
+  divergences : int;
+}
+
+let observe ~costs ~crash_at ~step_limit ~interrupts run =
+  let n = Array.length costs in
+  let scheds = ref [] and crash_events = ref [] and log = ref [] in
+  let final = Array.make n 0 in
+  let divergences = ref 0 in
+  let body i _ =
+    Fun.protect
+      ~finally:(fun () -> final.(i) <- Sim.dispatches ~tid:i)
+      (fun () ->
+        List.iteri
+          (fun j cost ->
+            (try Sim.step cost with Intr k -> log := (i, -k, 0, 0.) :: !log);
+            log := (i, j, Sim.dispatches ~tid:i, Sim.now ()) :: !log)
+          costs.(i))
+  in
+  Sim.set_tracer
+    (Some
+       (function
+       | Sim.Sched { step; tid; clock } -> scheds := (step, tid, clock) :: !scheds
+       | Sim.Crash { step } -> crash_events := step :: !crash_events));
+  let result =
+    Fun.protect
+      ~finally:(fun () -> Sim.set_tracer None)
+      (fun () ->
+        match
+          run ~crash_at ~step_limit ~interrupts
+            ~divergence:(fun ~step:_ ~want:_ -> incr divergences)
+            (Array.init n body)
+        with
+        | o -> Ok o
+        | exception e -> Error (Printexc.to_string e))
+  in
+  {
+    scheds = List.rev !scheds;
+    crash_events = List.rev !crash_events;
+    log = List.rev !log;
+    final;
+    result;
+    divergences = !divergences;
+  }
+
+let gen_case =
+  QCheck2.Gen.(
+    let* n = int_range 1 4 in
+    (* every cost reaches the perf policy's expensive threshold, so each
+       step is a scheduling point under both policies *)
+    let* costs =
+      array_repeat n (list_size (int_range 0 12) (oneofl [ 10.; 15.; 40.; 100. ]))
+    in
+    let* bound = int_range 0 2 and* at = int_range 1 40 in
+    let* interrupts =
+      list_size (int_range 0 3)
+        (triple (int_range 0 (n - 1)) (int_range 1 8) (int_range 1 9))
+    in
+    let* seed = int_range 0 10_000 in
+    let crash_at = if bound = 1 then at else -1 in
+    let step_limit = if bound = 2 then at else -1 in
+    let interrupts =
+      Array.of_list (List.map (fun (t, d, k) -> (t, d, Intr k)) interrupts)
+    in
+    return (costs, crash_at, step_limit, interrupts, seed))
+
+let print_case (costs, crash_at, step_limit, interrupts, seed) =
+  Printf.sprintf "costs=[%s] crash_at=%d step_limit=%d interrupts=[%s] seed=%d"
+    (String.concat "; "
+       (Array.to_list
+          (Array.map
+             (fun l -> String.concat "," (List.map string_of_float l))
+             costs)))
+    crash_at step_limit
+    (String.concat "; "
+       (Array.to_list
+          (Array.map
+             (fun (t, d, e) ->
+               Printf.sprintf "%d@%d:%s" t d (Printexc.to_string e))
+             interrupts)))
+    seed
+
+let prop_decision_sources_agree =
+  QCheck2.Test.make ~name:"one run, replayed through every decision source" ~count:300
+    ~print:print_case gen_case
+    (fun (costs, crash_at, step_limit, interrupts, seed) ->
+      let observe = observe ~costs ~crash_at ~step_limit ~interrupts in
+      let picks = ref [] in
+      let recorded =
+        observe (fun ~crash_at ~step_limit ~interrupts ~divergence bodies ->
+            Sim.run ~policy:`Random ~seed ~crash_at ~step_limit ~interrupts
+              ~divergence
+              ~record:(fun tid -> picks := tid :: !picks)
+              bodies)
+      in
+      let tape = Array.of_list (List.rev !picks) in
+      let via_schedule policy =
+        observe (fun ~crash_at ~step_limit ~interrupts ~divergence bodies ->
+            Sim.run ~policy ~seed:(seed + 1) ~crash_at ~step_limit ~interrupts
+              ~divergence ~schedule:tape bodies)
+      in
+      let next = ref 0 in
+      let via_choose =
+        observe (fun ~crash_at ~step_limit ~interrupts ~divergence bodies ->
+            Sim.run ~policy:`Random ~seed:(seed + 1) ~crash_at ~step_limit
+              ~interrupts ~divergence
+              ~choose:(fun ~crashing:_ _ ->
+                if !next >= Array.length tape then
+                  QCheck2.Test.fail_report "choose ran past the tape";
+                let t = tape.(!next) in
+                incr next;
+                t)
+              bodies)
+      in
+      let total = Array.fold_left ( + ) 0 recorded.final in
+      if List.length recorded.scheds <> total then
+        QCheck2.Test.fail_reportf "%d Sched events for %d dispatches"
+          (List.length recorded.scheds) total;
+      List.iter
+        (fun (name, o) ->
+          if o.divergences <> 0 then
+            QCheck2.Test.fail_reportf "%s: %d divergences" name o.divergences;
+          if o <> recorded then QCheck2.Test.fail_reportf "%s differs" name)
+        [
+          ("schedule under `Random", via_schedule `Random);
+          ("schedule under `Perf", via_schedule `Perf);
+          ("choose reading the tape", via_choose);
+        ];
+      if !next <> Array.length tape then
+        QCheck2.Test.fail_reportf "choose consumed %d of %d picks" !next
+          (Array.length tape);
+      (* the min-clock heap as the source, replayed under the rng policy *)
+      let perf_picks = ref [] in
+      let perf =
+        observe (fun ~crash_at ~step_limit ~interrupts ~divergence bodies ->
+            Sim.run ~policy:`Perf ~crash_at ~step_limit ~interrupts ~divergence
+              ~record:(fun tid -> perf_picks := tid :: !perf_picks)
+              bodies)
+      in
+      let perf_replayed =
+        observe (fun ~crash_at ~step_limit ~interrupts ~divergence bodies ->
+            Sim.run ~policy:`Random ~seed ~crash_at ~step_limit ~interrupts
+              ~divergence
+              ~schedule:(Array.of_list (List.rev !perf_picks))
+              bodies)
+      in
+      if perf_replayed <> perf then
+        QCheck2.Test.fail_report "`Perf run differs from its tape's replay";
+      true)
+
+let test_rng_picks_pinned () =
+  (* The picks as the engine made them when every decision was an
+     enqueue followed by a dequeue: a fiber re-picked in place must
+     consume the same rng draw (post-crash drain included) and keep the
+     heap's tie order. *)
+  let picks = ref [] in
+  ignore
+    (Sim.run ~policy:`Random ~seed:7 ~crash_at:15
+       ~record:(fun t -> picks := t :: !picks)
+       (Array.init 3 (fun _ _ ->
+            for _ = 1 to 5 do
+              Sim.step 1.
+            done))
+      : Sim.outcome);
+  Alcotest.(check (list int))
+    "rng picks"
+    [ 2; 2; 2; 2; 0; 0; 2; 0; 1; 2; 0; 1; 0; 0; 1; 1; 1 ]
+    (List.rev !picks);
+  (* the min-clock heap on tied clocks: the fiber that just yielded goes
+     behind every fiber already waiting at its clock *)
+  let picks = ref [] in
+  ignore
+    (Sim.run ~policy:`Perf
+       ~record:(fun t -> picks := t :: !picks)
+       [|
+         (fun _ -> for _ = 1 to 4 do Sim.step 10. done);
+         (fun _ -> for _ = 1 to 4 do Sim.step 20. done);
+         (fun _ ->
+           for _ = 1 to 4 do Sim.step 10. done;
+           Sim.step 5.;
+           Sim.step 15.);
+       |]
+      : Sim.outcome);
+  Alcotest.(check (list int))
+    "perf picks"
+    [ 0; 1; 2; 0; 2; 1; 0; 2; 0; 2; 1; 0; 2; 1; 2; 1 ]
+    (List.rev !picks)
+
+exception Gave_up
+
+let test_choose_raise_unwinds_every_fiber () =
+  (* [choose] runs on the deciding fiber's stack now; an exception it
+     raises must still escape [run] only after teardown, with every
+     fiber — the deciding one included — unwound exactly once by the
+     teardown's Step_limit, never by the chooser's own exception. *)
+  let n = 3 in
+  let finalized = Array.make n 0 in
+  let unwound_by = Array.make n "returned" in
+  let decisions = ref 0 in
+  let decider = ref (-1) in
+  let body i _ =
+    Fun.protect
+      ~finally:(fun () -> finalized.(i) <- finalized.(i) + 1)
+      (fun () ->
+        try
+          for _ = 1 to 20 do
+            Sim.step 1.
+          done
+        with e ->
+          unwound_by.(i) <- Printexc.to_string e;
+          raise e)
+  in
+  (match
+     Sim.run ~policy:`Random
+       ~choose:(fun ~crashing:_ ready ->
+         incr decisions;
+         if !decisions = 10 then begin
+           decider := if Sim.in_sim () then Sim.tid () else -1;
+           raise Gave_up
+         end;
+         (* round robin, so every fiber has started by decision 10 *)
+         ready.(!decisions mod Array.length ready))
+       (Array.init n body)
+   with
+  | exception Gave_up -> ()
+  | _ -> Alcotest.fail "the chooser's exception must escape Sim.run");
+  Alcotest.(check bool) "decided on a fiber's stack" true (!decider >= 0);
+  Alcotest.(check (array int)) "every finalizer ran once" [| 1; 1; 1 |]
+    finalized;
+  Array.iteri
+    (fun i u ->
+      Alcotest.(check string)
+        (Printf.sprintf "fiber %d unwound by teardown" i)
+        (Printexc.to_string Sim.Step_limit)
+        u)
+    unwound_by;
+  Alcotest.(check bool) "engine clean" false (Sim.in_sim ());
+  match Sim.run ~policy:`Random [| (fun _ -> Sim.step 1.); (fun _ -> Sim.step 1.) |] with
+  | Sim.All_done -> ()
+  | Sim.Crashed_at _ -> Alcotest.fail "unexpected crash"
+
 let suite =
   [
     Alcotest.test_case "runs all threads" `Quick test_runs_all;
@@ -459,4 +716,8 @@ let suite =
       test_interrupt_on_finished_fiber_is_noop;
     Alcotest.test_case "self-interrupt raises immediately" `Quick
       test_self_interrupt_raises_immediately;
+    QCheck_alcotest.to_alcotest prop_decision_sources_agree;
+    Alcotest.test_case "rng and heap picks pinned" `Quick test_rng_picks_pinned;
+    Alcotest.test_case "raising choose unwinds every fiber" `Quick
+      test_choose_raise_unwinds_every_fiber;
   ]
