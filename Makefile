@@ -1,7 +1,7 @@
 # Tier-1 verification: everything CI runs.
-.PHONY: check build test explore-smoke por-smoke explore-deep metrics-smoke causal-smoke serve-smoke parbench-smoke memento-smoke forensics-smoke space-smoke elastic-smoke clean figures
+.PHONY: check build test explore-smoke por-smoke explore-deep metrics-smoke causal-smoke serve-smoke parbench-smoke memento-smoke forensics-smoke space-smoke elastic-smoke golden-smoke clean figures
 
-check: build test explore-smoke por-smoke metrics-smoke causal-smoke serve-smoke parbench-smoke memento-smoke forensics-smoke space-smoke elastic-smoke
+check: build test explore-smoke por-smoke metrics-smoke causal-smoke serve-smoke parbench-smoke memento-smoke forensics-smoke space-smoke elastic-smoke golden-smoke
 
 build:
 	dune build
@@ -123,24 +123,24 @@ memento-smoke:
 	  --keys 3 --prefill 0 --preemptions 0 --crashes 1 --wb 2 --max-execs 0
 
 # Crash-forensics smoke: `repro explain` on the shipped negative-control
-# repros must name the elided persist site in the postmortem, and the
-# output must be byte-identical across -j settings (the determinism
+# repros must name the elided persist site in the postmortem, and two
+# runs of the same explain must be byte-identical (the determinism
 # contract of forensic replay).
 forensics-smoke:
 	dune exec bin/repro.exe -- explain repros/tracking-broken.repro \
 	  | grep -q 'rlist-broken.new.pwb'
 	dune exec bin/repro.exe -- explain repros/memento-broken.repro \
 	  | grep -q 'mmt-broken.cp.pwb'
-	dune exec bin/repro.exe -- explain -j 1 repros/tracking-broken.repro \
-	  > _build/forensics-tb-j1.txt
-	dune exec bin/repro.exe -- explain -j 4 repros/tracking-broken.repro \
-	  > _build/forensics-tb-j4.txt
-	cmp _build/forensics-tb-j1.txt _build/forensics-tb-j4.txt
-	dune exec bin/repro.exe -- explain --json -j 1 repros/memento-broken.repro \
-	  > _build/forensics-mb-j1.json
-	dune exec bin/repro.exe -- explain --json -j 4 repros/memento-broken.repro \
-	  > _build/forensics-mb-j4.json
-	cmp _build/forensics-mb-j1.json _build/forensics-mb-j4.json
+	dune exec bin/repro.exe -- explain repros/tracking-broken.repro \
+	  > _build/forensics-tb-1.txt
+	dune exec bin/repro.exe -- explain repros/tracking-broken.repro \
+	  > _build/forensics-tb-2.txt
+	cmp _build/forensics-tb-1.txt _build/forensics-tb-2.txt
+	dune exec bin/repro.exe -- explain --json repros/memento-broken.repro \
+	  > _build/forensics-mb-1.json
+	dune exec bin/repro.exe -- explain --json repros/memento-broken.repro \
+	  > _build/forensics-mb-2.json
+	cmp _build/forensics-mb-1.json _build/forensics-mb-2.json
 
 # Persistent-space accounting smoke: the default variant set must pass
 # the detectable-object lower-bound check (--check), report live/meta/
@@ -180,6 +180,47 @@ elastic-smoke:
 	! dune exec bin/repro.exe -- serve -a tracking --shards 2 --clients 2 \
 	  --ops 16 --keys 16 --migrate 0 --migrate-after 3 --broken-handoff \
 	  --explore --dispatch-budget 200 -j 2 > /dev/null 2>&1
+
+# Output-format smoke: every artifact the tool writes — explain
+# postmortems (text and JSON), campaign and serve repro files, stats /
+# space / causal / serve JSON and CSV, Perfetto JSON — regenerated from
+# fixed inputs and compared byte for byte against the copies pinned in
+# test/expected/golden.  A change to any escaper, number format, field
+# order or repro line shows here.  To re-pin after an intended format
+# change, copy _build/golden/* over test/expected/golden/.
+GOLDEN_FILES = explain-tracking-broken.txt explain-memento-broken.json \
+	  explore-tracking-broken.repro serve-broken-handoff.repro \
+	  serve-broken-handoff.txt stats.json space.json space.csv causal.json \
+	  causal.csv serve.json serve.csv perfetto.json
+golden-smoke:
+	rm -rf _build/golden && mkdir -p _build/golden
+	dune exec bin/repro.exe -- explain repros/tracking-broken.repro \
+	  > _build/golden/explain-tracking-broken.txt
+	dune exec bin/repro.exe -- explain --json repros/memento-broken.repro \
+	  > _build/golden/explain-memento-broken.json
+	! dune exec bin/repro.exe -- explore -a tracking-broken $(POR_TREE) \
+	  --repro _build/golden/explore-tracking-broken.repro > /dev/null 2>&1
+	! dune exec bin/repro.exe -- serve -a tracking --shards 2 --clients 2 \
+	  --ops 16 --keys 16 --migrate 0 --migrate-after 3 --broken-handoff \
+	  --explore --dispatch-budget 200 -j 2 \
+	  --repro _build/golden/serve-broken-handoff.repro > /dev/null 2>&1
+	dune exec bin/repro.exe -- explain _build/golden/serve-broken-handoff.repro \
+	  > _build/golden/serve-broken-handoff.txt
+	dune exec bin/repro.exe -- stats -a tracking -t 4 --ops 40 --crashes 2 \
+	  --keys 64 --seed 1 --json _build/golden/stats.json > /dev/null
+	dune exec bin/repro.exe -- space --check --json _build/golden/space.json \
+	  --csv _build/golden/space.csv > /dev/null
+	dune exec bin/repro.exe -- causal --quick --json _build/golden/causal.json \
+	  --csv _build/golden/causal.csv > /dev/null
+	dune exec bin/repro.exe -- serve --shards 4 --clients 4 --ops 100 \
+	  --crash-shard 2 --json _build/golden/serve.json \
+	  --csv _build/golden/serve.csv > /dev/null
+	dune exec bin/repro.exe -- trace -a tracking -t 3 --ops 12 --crashes 2 \
+	  --keys 32 --seed 7 --perfetto _build/golden/perfetto.json > /dev/null
+	for f in $(GOLDEN_FILES); do \
+	  cmp test/expected/golden/$$f _build/golden/$$f || exit 1; \
+	done
+	echo "golden-smoke: $(words $(GOLDEN_FILES)) outputs byte-identical"
 
 clean:
 	dune clean

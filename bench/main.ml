@@ -512,25 +512,26 @@ let timed f =
   (Unix.gettimeofday () -. t0, note)
 
 (* Append an entry to the JSON array in [path], creating it if absent.
-   The file stays a valid JSON array after every append. *)
+   The existing file is parsed first: anything but a JSON array is
+   refused rather than spliced into.  The file stays a valid JSON array
+   after every append. *)
 let append_json_entry path entry =
   let existing =
     if Sys.file_exists path then
-      In_channel.with_open_text path In_channel.input_all
+      String.trim (In_channel.with_open_text path In_channel.input_all)
     else ""
   in
-  let trimmed = String.trim existing in
+  let prefix =
+    match if existing = "" then Ok (Json.Arr []) else Json.parse existing with
+    | Ok (Json.Arr []) -> "["
+    | Ok (Json.Arr _) ->
+        (* drop the parsed array's closing bracket *)
+        String.trim (String.sub existing 0 (String.length existing - 1)) ^ ","
+    | Ok _ -> failwith (path ^ ": not a JSON array")
+    | Error msg -> failwith (Printf.sprintf "%s: not valid JSON (%s)" path msg)
+  in
   Out_channel.with_open_text path (fun oc ->
-      if trimmed = "" || trimmed = "[]" then
-        Printf.fprintf oc "[\n%s\n]\n" entry
-      else begin
-        let upto =
-          match String.rindex_opt trimmed ']' with
-          | Some i -> String.trim (String.sub trimmed 0 i)
-          | None -> failwith (path ^ ": not a JSON array")
-        in
-        Printf.fprintf oc "%s,\n%s\n]\n" upto entry
-      end)
+      Printf.fprintf oc "%s\n%s\n]\n" prefix entry)
 
 let run_wallclock ~jobs_list ~out =
   Printf.printf "== Wall-clock campaign suite ==\n%!";

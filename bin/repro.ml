@@ -3,6 +3,11 @@
 
 open Cmdliner
 
+(* -- shared CLI vocabulary ------------------------------------------------ *)
+
+(* Each flag is defined once here; commands differ only in the default
+   (and, where the flag means something different, the doc). *)
+
 let algo_conv =
   let parse s =
     match Set_intf.by_name s with
@@ -43,24 +48,113 @@ let cfg_of_quick quick =
   if quick then Figures.quick_config
   else { Figures.default_config with duration_ns = 200_000.; seeds = 2 }
 
+(* [-j 0] resolves to one domain per core here, once for every command *)
 let jobs_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "jobs"; "j" ] ~docv:"N"
-        ~doc:
-          "Fan the campaign across $(docv) domains (0 = one per core). \
-           Reported results and repro files are deterministic and \
-           byte-identical to -j 1; worker domains are not traced.")
+  Term.(
+    const (fun j -> if j <= 0 then Parallel.default_jobs () else j)
+    $ Arg.(
+        value & opt int 1
+        & info [ "jobs"; "j" ] ~docv:"N"
+            ~doc:
+              "Fan the campaign across $(docv) domains (0 = one per core). \
+               Reported results and repro files are deterministic and \
+               byte-identical to -j 1; worker domains are not traced."))
 
-let resolve_jobs j = if j <= 0 then Parallel.default_jobs () else j
+let int_flag names ~doc default =
+  Arg.(value & opt int default & info names ~doc)
 
-(* -- crash forensics helpers ---------------------------------------------- *)
+let threads ~default =
+  int_flag [ "threads"; "t" ] ~doc:"Logical threads." default
+
+let ops ?(doc = "Operations per thread.") ~default () =
+  int_flag [ "ops" ] ~doc default
+
+let crashes ?(doc = "Max crashes injected.") ~default () =
+  int_flag [ "crashes" ] ~doc default
+
+let keys ~default = int_flag [ "keys" ] ~doc:"Key range size." default
+
+let seed ?(doc = "Workload seed.") ~default () = int_flag [ "seed" ] ~doc default
+
+let prefill ~default =
+  int_flag [ "prefill" ] ~doc:"Keys inserted before the run." default
+
+let file_flag name ~doc =
+  Arg.(value & opt (some string) None & info [ name ] ~docv:"FILE" ~doc)
+
+let json ~doc = file_flag "json" ~doc
+let csv ~doc = file_flag "csv" ~doc
+
+let trace ~what =
+  file_flag "trace"
+    ~doc:(Printf.sprintf "Write a JSONL event trace of %s to $(docv)." what)
+
+let repro_out ?(what = "repro") () =
+  file_flag "repro"
+    ~doc:(Printf.sprintf "On failure, save a replayable %s to $(docv)." what)
+
+let check ~doc = Arg.(value & flag & info [ "check" ] ~doc)
+
+let with_trace trace f =
+  match trace with Some p -> Trace.with_file p f | None -> f ()
+
+(* [--json -] / [--csv -] own stdout: the caller suppresses its human
+   report, and "wrote" notices move to stderr so the stream stays
+   parseable. *)
+let owns_stdout dsts = List.mem (Some "-") dsts
+
+let notice ~owned = if owned then Format.eprintf else Format.printf
+
+let write_output ~owned dst text =
+  match dst with
+  | None -> ()
+  | Some "-" -> print_string text
+  | Some p ->
+      Out_channel.with_open_text p (fun oc -> Out_channel.output_string oc text);
+      notice ~owned "wrote %s@." p
+
+(* The volatile Harris list has no recovery: a command that would crash
+   it refuses up front. *)
+let require_crash_capable ?(crashing = true) algo =
+  if crashing && algo.Set_intf.fname = "harris" then begin
+    Format.printf "harris is volatile: it cannot recover from crashes@.";
+    exit 1
+  end
+
+let campaign_cfg ?prefill algo mix ~threads ~ops ~crashes ~keys =
+  {
+    Crashes.factory = algo;
+    threads;
+    ops_per_thread = ops;
+    workload =
+      {
+        (Workload.default mix) with
+        key_range = keys;
+        prefill_n = Option.value prefill ~default:(keys / 2);
+      };
+    max_crashes = crashes;
+  }
+
+(* -- failure reporting ---------------------------------------------------- *)
 
 (* Postmortems are printed through the same formatter as the violation
    message so the two can never interleave out of order. *)
 let pp_postmortem pm = Format.printf "@.%s" (Forensics.render_text pm)
 
 let pp_no_postmortem reason = Format.printf "@.(no postmortem: %s)@." reason
+
+let pp_explained = function
+  | Ok pm -> pp_postmortem pm
+  | Error e -> pp_no_postmortem e
+
+let pp_violation msg = Format.printf "DETECTABILITY VIOLATION — %s@." msg
+
+let save_repro ?(notice = "repro saved to") save dst r =
+  Option.iter
+    (fun p ->
+      save p r;
+      Format.printf "%s %s@." notice p)
+    dst
 
 (* [Crashes.run_campaign] failures carry a "seed N: " prefix; pull the
    failing seed back out so the campaign can be re-run under the
@@ -86,6 +180,33 @@ let campaign_postmortem cfg ~seed =
   | Error _, _, Some pm -> pp_postmortem pm
   | Ok _, _, _ -> pp_no_postmortem "the forensic re-run passed"
   | Error _, _, None -> pp_no_postmortem "forensic re-run produced no report"
+
+let campaign_failure_postmortem cfg msg =
+  match seed_of_campaign_failure msg with
+  | Some seed -> campaign_postmortem cfg ~seed
+  | None -> pp_no_postmortem "failing seed not found in the message"
+
+(* -- replay files --------------------------------------------------------- *)
+
+(* Campaign and serve repros share the replay and explain entry points;
+   the magic line says which format owns the file. *)
+type repro = Campaign of Repro.t | Serve of Store_repro.t
+
+let load_repro file =
+  let first_line =
+    try In_channel.with_open_text file In_channel.input_line
+    with Sys_error _ -> None
+  in
+  let loaded =
+    if first_line = Some Store_repro.magic then
+      Result.map (fun r -> Serve r) (Store_repro.load file)
+    else Result.map (fun r -> Campaign r) (Repro.load file)
+  in
+  match loaded with
+  | Ok r -> r
+  | Error msg ->
+      Format.printf "cannot load %s: %s@." file msg;
+      exit 2
 
 (* -- figures ------------------------------------------------------------ *)
 
@@ -153,57 +274,12 @@ let crash_cmd =
   let seeds =
     Arg.(value & opt int 100 & info [ "seeds" ] ~doc:"Number of seeded runs.")
   in
-  let threads =
-    Arg.(value & opt int 4 & info [ "threads"; "t" ] ~doc:"Logical threads.")
-  in
-  let ops =
-    Arg.(value & opt int 15 & info [ "ops" ] ~doc:"Operations per thread.")
-  in
-  let crashes =
-    Arg.(value & opt int 3 & info [ "crashes" ] ~doc:"Max crashes per run.")
-  in
-  let key_range =
-    Arg.(value & opt int 64 & info [ "keys" ] ~doc:"Key range size.")
-  in
-  let trace =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE"
-          ~doc:"Write a JSONL event trace of the whole campaign to $(docv).")
-  in
-  let repro_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "repro" ] ~docv:"FILE"
-          ~doc:"On failure, save a replayable repro to $(docv).")
-  in
-  let run algo mix seeds threads ops crashes key_range trace repro_file =
-    if algo.Set_intf.fname = "harris" then begin
-      Format.printf "harris is volatile: it cannot recover from crashes@.";
-      exit 1
-    end;
-    let cfg =
-      Crashes.
-        {
-          factory = algo;
-          threads;
-          ops_per_thread = ops;
-          workload =
-            {
-              (Workload.default mix) with
-              key_range;
-              prefill_n = key_range / 2;
-            };
-          max_crashes = crashes;
-        }
-    in
-    let campaign () =
-      Crashes.run_campaign ?repro_file cfg ~seeds:(List.init seeds Fun.id)
-    in
+  let run algo mix seeds threads ops crashes keys trace repro_file =
+    require_crash_capable algo;
+    let cfg = campaign_cfg algo mix ~threads ~ops ~crashes ~keys in
     let result =
-      match trace with Some p -> Trace.with_file p campaign | None -> campaign ()
+      with_trace trace (fun () ->
+          Crashes.run_campaign ?repro_file cfg ~seeds:(List.init seeds Fun.id))
     in
     match result with
     | Ok (n, o) ->
@@ -213,48 +289,31 @@ let crash_cmd =
           algo.Set_intf.fname n o.Crashes.completed_ops o.Crashes.recovered_ops
           o.Crashes.crashes
     | Error msg ->
-        Format.printf "DETECTABILITY VIOLATION — %s@." msg;
-        (match repro_file with
-        | Some p -> Format.printf "repro saved to %s@." p
-        | None -> ());
-        (match seed_of_campaign_failure msg with
-        | Some seed -> campaign_postmortem cfg ~seed
-        | None -> pp_no_postmortem "failing seed not found in the message");
+        pp_violation msg;
+        (* the campaign itself saved the file *)
+        Option.iter (Format.printf "repro saved to %s@.") repro_file;
+        campaign_failure_postmortem cfg msg;
         exit 1
   in
   Cmd.v
     (Cmd.info "crash"
        ~doc:"Crash-injection campaign with detectability checking.")
     Term.(
-      const run $ algo $ mix $ seeds $ threads $ ops $ crashes $ key_range
-      $ trace $ repro_file)
+      const run $ algo $ mix $ seeds $ threads ~default:4 $ ops ~default:15 ()
+      $ crashes ~doc:"Max crashes per run." ~default:3 ()
+      $ keys ~default:64
+      $ trace ~what:"the whole campaign"
+      $ repro_out ())
 
 (* -- explore -------------------------------------------------------------- *)
 
 let explore_cmd =
-  let threads =
-    Arg.(value & opt int 2 & info [ "threads"; "t" ] ~doc:"Logical threads.")
-  in
-  let ops =
-    Arg.(value & opt int 1 & info [ "ops" ] ~doc:"Operations per thread.")
-  in
-  let key_range =
-    Arg.(value & opt int 8 & info [ "keys" ] ~doc:"Key range size.")
-  in
-  let prefill =
-    Arg.(value & opt int 4 & info [ "prefill" ] ~doc:"Keys inserted before the run.")
-  in
   let preemptions =
     Arg.(
       value & opt int 2
       & info [ "preemptions" ]
           ~doc:"CHESS preemption bound: max preemptive context switches \
                 explored per execution.")
-  in
-  let crashes =
-    Arg.(
-      value & opt int 1
-      & info [ "crashes" ] ~doc:"Max crashes injected per execution.")
   in
   let wb =
     Arg.(
@@ -267,9 +326,6 @@ let explore_cmd =
     Arg.(
       value & opt int 100_000
       & info [ "max-execs" ] ~doc:"Execution budget; 0 = run until exhausted.")
-  in
-  let seed =
-    Arg.(value & opt int 0 & info [ "seed" ] ~doc:"Workload seed.")
   in
   let keep_going =
     Arg.(
@@ -291,74 +347,38 @@ let explore_cmd =
              either way; this flag is the oracle the reduction is tested \
              against.")
   in
-  let trace =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE"
-          ~doc:"Write a JSONL event trace of the exploration to $(docv).")
-  in
-  let repro_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "repro" ] ~docv:"FILE"
-          ~doc:"On failure, save a replayable repro to $(docv).")
-  in
-  let run algo mix threads ops key_range prefill preemptions crashes wb
-      max_execs seed keep_going no_reduce trace repro_file jobs =
-    if algo.Set_intf.fname = "harris" then begin
-      Format.printf "harris is volatile: it cannot recover from crashes@.";
-      exit 1
-    end;
-    let jobs = resolve_jobs jobs in
+  let run algo mix threads ops keys prefill preemptions crashes wb max_execs
+      seed keep_going no_reduce trace repro_file jobs =
+    require_crash_capable algo;
     if jobs > 1 && trace <> None then
       Format.eprintf
         "note: -j %d traces only the calling domain (discovery execution); \
          worker-domain executions are not traced@."
         jobs;
     let cfg =
-      Explore.
-        {
-          campaign =
-            Crashes.
-              {
-                factory = algo;
-                threads;
-                ops_per_thread = ops;
-                workload =
-                  {
-                    (Workload.default mix) with
-                    key_range;
-                    prefill_n = prefill;
-                  };
-                max_crashes = max crashes 1;
-              };
-          seed;
-          preemptions;
-          crashes;
-          wb_width = wb;
-          max_execs;
-        }
+      {
+        Explore.campaign =
+          campaign_cfg ~prefill algo mix ~threads ~ops
+            ~crashes:(max crashes 1) ~keys;
+        seed;
+        preemptions;
+        crashes;
+        wb_width = wb;
+        max_execs;
+      }
     in
-    let go () =
-      Explore.run ~stop_on_failure:(not keep_going)
-        ~progress:Report.explore_progress ~jobs ~reduce:(not no_reduce) cfg
+    let o =
+      with_trace trace (fun () ->
+          Explore.run ~stop_on_failure:(not keep_going)
+            ~progress:Report.explore_progress ~jobs ~reduce:(not no_reduce) cfg)
     in
-    let o = match trace with Some p -> Trace.with_file p go | None -> go () in
     Format.printf "%a" Report.pp_explore o.Explore.stats;
     match o.Explore.failure with
     | None -> ()
     | Some r ->
-        Format.printf "DETECTABILITY VIOLATION — %s@." r.Repro.error;
-        (match repro_file with
-        | Some p ->
-            Repro.save p r;
-            Format.printf "repro saved to %s@." p
-        | None -> ());
-        (match Crashes.explain r with
-        | Ok pm -> pp_postmortem pm
-        | Error e -> pp_no_postmortem e);
+        pp_violation r.Repro.error;
+        save_repro Repro.save repro_file r;
+        pp_explained (Crashes.explain r);
         exit 1
   in
   Cmd.v
@@ -368,48 +388,50 @@ let explore_cmd =
           preemption bound), crash point and write-back subset of a small \
           campaign, checking detectability on each execution.")
     Term.(
-      const run $ algo $ mix $ threads $ ops $ key_range $ prefill
-      $ preemptions $ crashes $ wb $ max_execs $ seed $ keep_going $ no_reduce
-      $ trace $ repro_file $ jobs_arg)
+      const run $ algo $ mix $ threads ~default:2 $ ops ~default:1 ()
+      $ keys ~default:8 $ prefill ~default:4 $ preemptions
+      $ crashes ~doc:"Max crashes injected per execution." ~default:1 ()
+      $ wb $ max_execs $ seed ~default:0 () $ keep_going $ no_reduce
+      $ trace ~what:"the exploration" $ repro_out () $ jobs_arg)
 
 (* -- replay --------------------------------------------------------------- *)
 
 let replay_run file do_shrink any_error out trace =
-  match Repro.load file with
+  let recorded, replay =
+    match load_repro file with
+    | Campaign r ->
+        Format.printf "%a@." Repro.pp r;
+        let r =
+          if not do_shrink then r
+          else begin
+            let r' = Crashes.shrink ~match_error:(not any_error) r in
+            Format.printf "shrunk to: threads=%d ops/thread=%d rounds=%d@."
+              r'.Repro.threads r'.Repro.ops_per_thread
+              (List.length r'.Repro.rounds);
+            r'
+          end
+        in
+        save_repro ~notice:"wrote" Repro.save out r;
+        (r.Repro.error, fun () -> Crashes.replay r)
+    | Serve r ->
+        Format.printf "%a" Store_repro.pp r;
+        if do_shrink then begin
+          Format.printf "cannot shrink %s: only campaign repros shrink@." file;
+          exit 2
+        end;
+        save_repro ~notice:"wrote" Store_repro.save out r;
+        (r.Store_repro.error, fun () -> Store_repro.replay r)
+  in
+  match with_trace trace replay with
+  | Error msg when String.equal msg recorded ->
+      Format.printf "reproduced: %s@." msg
   | Error msg ->
-      Format.printf "cannot load %s: %s@." file msg;
-      exit 2
-  | Ok r ->
-      Format.printf "%a@." Repro.pp r;
-      let r =
-        if not do_shrink then r
-        else begin
-          let r' = Crashes.shrink ~match_error:(not any_error) r in
-          Format.printf "shrunk to: threads=%d ops/thread=%d rounds=%d@."
-            r'.Repro.threads r'.Repro.ops_per_thread
-            (List.length r'.Repro.rounds);
-          r'
-        end
-      in
-      (match out with
-      | Some p ->
-          Repro.save p r;
-          Format.printf "wrote %s@." p
-      | None -> ());
-      let go () = Crashes.replay r in
-      let result =
-        match trace with Some p -> Trace.with_file p go | None -> go ()
-      in
-      (match result with
-      | Error msg when String.equal msg r.Repro.error ->
-          Format.printf "reproduced: %s@." msg
-      | Error msg ->
-          Format.printf "reproduced a DIFFERENT failure: %s@." msg;
-          Format.printf "(recorded: %s)@." r.Repro.error;
-          exit 1
-      | Ok () ->
-          Format.printf "did NOT reproduce — the replay passed@.";
-          exit 1)
+      Format.printf "reproduced a DIFFERENT failure: %s@." msg;
+      Format.printf "(recorded: %s)@." recorded;
+      exit 1
+  | Ok () ->
+      Format.printf "did NOT reproduce — the replay passed@.";
+      exit 1
 
 let replay_cmd =
   let file =
@@ -440,57 +462,28 @@ let replay_cmd =
       & info [ "out"; "o" ] ~docv:"FILE"
           ~doc:"Write the (possibly shrunk) repro back out to $(docv).")
   in
-  let trace =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE"
-          ~doc:"Write a JSONL event trace of the replay to $(docv).")
-  in
   Cmd.v
     (Cmd.info "replay"
        ~doc:
          "Deterministically replay (and optionally shrink) a saved \
           failing-campaign repro.")
-    Term.(const replay_run $ file $ shrinkf $ any_error $ out $ trace)
+    Term.(
+      const replay_run $ file $ shrinkf $ any_error $ out
+      $ trace ~what:"the replay")
 
 (* -- explain (crash forensics) -------------------------------------------- *)
 
-let explain_run file json _jobs =
-  let first_line =
-    match In_channel.with_open_text file In_channel.input_line with
-    | Some l -> l
-    | None -> ""
-    | exception Sys_error msg ->
-        Format.printf "cannot read %s: %s@." file msg;
-        exit 2
-  in
+let explain_run file json =
   let result =
-    (* campaign and serve repros share the CLI entry point; the magic
-       line says which replayer owns the file *)
-    if String.equal first_line Store_repro.magic then
-      match Store_repro.load file with
-      | Error msg -> `Load msg
-      | Ok r -> (
-          match Store_repro.explain r with
-          | Ok pm -> `Postmortem pm
-          | Error msg -> `Explain msg)
-    else
-      match Repro.load file with
-      | Error msg -> `Load msg
-      | Ok r -> (
-          match Crashes.explain r with
-          | Ok pm -> `Postmortem pm
-          | Error msg -> `Explain msg)
+    match load_repro file with
+    | Campaign r -> Crashes.explain r
+    | Serve r -> Store_repro.explain r
   in
   match result with
-  | `Load msg ->
-      Format.printf "cannot load %s: %s@." file msg;
-      exit 2
-  | `Explain msg ->
+  | Error msg ->
       Format.printf "cannot explain %s: %s@." file msg;
       exit 1
-  | `Postmortem pm ->
+  | Ok pm ->
       if json then print_endline (Forensics.render_json pm)
       else print_string (Forensics.render_text pm)
 
@@ -518,9 +511,8 @@ let explain_cmd =
           never-persisted cache line and the site that wrote it, the \
           culprit analysis (including registered-but-disabled persist \
           sites), and the lineage of the operations touching the failure.  \
-          Output is deterministic: byte-identical across replays and -j \
-          settings.")
-    Term.(const explain_run $ file $ json $ jobs_arg)
+          Output is deterministic: byte-identical across replays.")
+    Term.(const explain_run $ file $ json)
 
 (* -- soak ----------------------------------------------------------------- *)
 
@@ -530,25 +522,9 @@ let soak_cmd =
       value & opt int 0
       & info [ "rounds" ] ~doc:"Campaign rounds; 0 = run until interrupted.")
   in
-  let threads =
-    Arg.(value & opt int 6 & info [ "threads"; "t" ] ~doc:"Logical threads.")
-  in
   let run algo mix rounds threads =
-    if algo.Set_intf.fname = "harris" then begin
-      Format.printf "harris is volatile: it cannot recover from crashes@.";
-      exit 1
-    end;
-    let cfg =
-      Crashes.
-        {
-          factory = algo;
-          threads;
-          ops_per_thread = 20;
-          workload =
-            { (Workload.default mix) with key_range = 64; prefill_n = 32 };
-          max_crashes = 4;
-        }
-    in
+    require_crash_capable algo;
+    let cfg = campaign_cfg algo mix ~threads ~ops:20 ~crashes:4 ~keys:64 in
     let round = ref 0 in
     let continue () = rounds = 0 || !round < rounds in
     while continue () do
@@ -562,9 +538,7 @@ let soak_cmd =
             o.Crashes.crashes
       | Error msg ->
           Format.printf "round %d: DETECTABILITY VIOLATION — %s@." !round msg;
-          (match seed_of_campaign_failure msg with
-          | Some seed -> campaign_postmortem cfg ~seed
-          | None -> pp_no_postmortem "failing seed not found in the message");
+          campaign_failure_postmortem cfg msg;
           exit 1
     done
   in
@@ -572,81 +546,41 @@ let soak_cmd =
     (Cmd.info "soak"
        ~doc:
          "Run crash-injection campaigns indefinitely (or for --rounds),           50 fresh seeds per round.")
-    Term.(const run $ algo $ mix $ rounds $ threads)
+    Term.(const run $ algo $ mix $ rounds $ threads ~default:6)
 
 (* -- stats ---------------------------------------------------------------- *)
 
-let campaign_cfg algo mix threads ops crashes key_range =
-  Crashes.
-    {
-      factory = algo;
-      threads;
-      ops_per_thread = ops;
-      workload =
-        { (Workload.default mix) with key_range; prefill_n = key_range / 2 };
-      max_crashes = crashes;
-    }
-
 let stats_cmd =
-  let threads =
-    Arg.(value & opt int 4 & info [ "threads"; "t" ] ~doc:"Logical threads.")
-  in
-  let ops =
-    Arg.(value & opt int 50 & info [ "ops" ] ~doc:"Operations per thread.")
-  in
-  let crashes =
-    Arg.(value & opt int 2 & info [ "crashes" ] ~doc:"Max crashes injected.")
-  in
-  let key_range =
-    Arg.(value & opt int 64 & info [ "keys" ] ~doc:"Key range size.")
-  in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Workload seed.") in
   let top =
     Arg.(
       value & opt int 10
       & info [ "top" ] ~doc:"Contended cache lines to report.")
   in
-  let json =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"Also write the report as JSON to $(docv) (\"-\" = stdout).")
-  in
-  let run algo mix threads ops crashes key_range seed top json =
-    if algo.Set_intf.fname = "harris" && crashes > 0 then begin
-      Format.printf "harris is volatile: it cannot recover from crashes@.";
-      exit 1
-    end;
-    let cfg = campaign_cfg algo mix threads ops crashes key_range in
+  let run algo mix threads ops crashes keys seed top json =
+    require_crash_capable ~crashing:(crashes > 0) algo;
+    let cfg = campaign_cfg algo mix ~threads ~ops ~crashes ~keys in
+    let owned = owns_stdout [ json ] in
     Metrics.enable ();
     let result =
       Fun.protect
         ~finally:(fun () -> Metrics.disable ())
         (fun () ->
           let r = Crashes.run_once cfg ~seed in
-          (* --json - owns stdout: the human report would corrupt the
-             stream for anything piping the output into a JSON parser. *)
-          if json <> Some "-" then begin
-            Format.printf
-              "%s: %d threads × %d ops, mix %s, seed %d@.@."
+          if not owned then begin
+            Format.printf "%s: %d threads × %d ops, mix %s, seed %d@.@."
               algo.Set_intf.fname threads ops mix.Workload.name seed;
-            Report.pp_metrics ~top Format.std_formatter ()
+            Report.pp_metrics ~top Format.std_formatter ();
+            (* a blank line before the "wrote" notice *)
+            if json <> None then Format.printf "@."
           end;
-          (match json with
-          | Some "-" -> print_endline (Report.metrics_json ~top ())
-          | Some p ->
-              Out_channel.with_open_text p (fun oc ->
-                  Out_channel.output_string oc (Report.metrics_json ~top ());
-                  Out_channel.output_char oc '\n');
-              Format.printf "@.wrote %s@." p
-          | None -> ());
+          write_output ~owned json (Report.metrics_json ~top () ^ "\n");
           r)
     in
     match result with
     | Ok _ -> ()
     | Error msg ->
-        Format.printf "@.DETECTABILITY VIOLATION — %s@." msg;
+        Format.printf "@.";
+        pp_violation msg;
         campaign_postmortem cfg ~seed;
         exit 1
   in
@@ -657,8 +591,10 @@ let stats_cmd =
           report: latency histograms per op kind, the most contended cache \
           lines, recovery durations.  Nothing is written to disk.")
     Term.(
-      const run $ algo $ mix $ threads $ ops $ crashes $ key_range $ seed
-      $ top $ json)
+      const run $ algo $ mix $ threads ~default:4 $ ops ~default:50 ()
+      $ crashes ~default:2 () $ keys ~default:64 $ seed ~default:1 () $ top
+      $ json
+          ~doc:"Also write the report as JSON to $(docv) (\"-\" = stdout).")
 
 (* -- space ---------------------------------------------------------------- *)
 
@@ -671,48 +607,10 @@ let space_cmd =
             "Implementations to account (default: tracking, tracking-hash, \
              capsules-opt, memento-list, memento-comb).")
   in
-  let threads =
-    Arg.(value & opt int 4 & info [ "threads"; "t" ] ~doc:"Logical threads.")
-  in
-  let ops =
-    Arg.(value & opt int 120 & info [ "ops" ] ~doc:"Operations per thread.")
-  in
-  let crashes =
-    Arg.(value & opt int 3 & info [ "crashes" ] ~doc:"Max crashes injected.")
-  in
-  let key_range =
-    Arg.(value & opt int 64 & info [ "keys" ] ~doc:"Key range size.")
-  in
-  let prefill =
-    Arg.(value & opt int 16 & info [ "prefill" ] ~doc:"Keys inserted before the run.")
-  in
   let find_pct =
     Arg.(
       value & opt int 20
       & info [ "find-pct" ] ~docv:"P" ~doc:"Percentage of find operations.")
-  in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Workload seed.") in
-  let json =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"Also write the report as JSON to $(docv) (\"-\" = stdout).")
-  in
-  let csv =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "csv" ] ~docv:"FILE"
-          ~doc:"Also write the summary table as CSV to $(docv) (\"-\" = stdout).")
-  in
-  let strict =
-    Arg.(
-      value & flag
-      & info [ "check" ]
-          ~doc:
-            "Exit nonzero if any run failed or any detectable variant fell \
-             below the metadata space lower bound.")
   in
   let run variants threads ops find_pct crashes key_range prefill seed jobs
       json csv strict =
@@ -739,24 +637,11 @@ let space_cmd =
           seed;
         }
     in
-    let rs = Space.campaign ~jobs:(resolve_jobs jobs) cfg variants in
-    let emit dst text =
-      match dst with
-      | "-" -> print_string text
-      | p ->
-          Out_channel.with_open_text p (fun oc ->
-              Out_channel.output_string oc text);
-          Format.printf "wrote %s@." p
-    in
-    (* --json - / --csv - own stdout: suppress the human report there. *)
-    if json <> Some "-" && csv <> Some "-" then
-      print_string (Space.render_text cfg rs);
-    (match json with
-    | Some dst -> emit dst (Space.render_json cfg rs)
-    | None -> ());
-    (match csv with
-    | Some dst -> emit dst (Space.render_csv rs)
-    | None -> ());
+    let rs = Space.campaign ~jobs cfg variants in
+    let owned = owns_stdout [ json; csv ] in
+    if not owned then print_string (Space.render_text cfg rs);
+    write_output ~owned json (Space.render_json cfg rs);
+    write_output ~owned csv (Space.render_csv rs);
     if strict then
       match Space.check rs with
       | Ok () -> ()
@@ -774,21 +659,22 @@ let space_cmd =
           virtual time, and the detectable-object space lower bound \
           (arXiv 2002.11378).")
     Term.(
-      const run $ variants $ threads $ ops $ find_pct $ crashes $ key_range
-      $ prefill $ seed $ jobs_arg $ json $ csv $ strict)
+      const run $ variants $ threads ~default:4 $ ops ~default:120 ()
+      $ find_pct $ crashes ~default:3 () $ keys ~default:64
+      $ prefill ~default:16 $ seed ~default:1 () $ jobs_arg
+      $ json
+          ~doc:"Also write the report as JSON to $(docv) (\"-\" = stdout)."
+      $ csv
+          ~doc:
+            "Also write the summary table as CSV to $(docv) (\"-\" = stdout)."
+      $ check
+          ~doc:
+            "Exit nonzero if any run failed or any detectable variant fell \
+             below the metadata space lower bound.")
 
 (* -- causal --------------------------------------------------------------- *)
 
 let causal_cmd =
-  let threads =
-    Arg.(value & opt int 16 & info [ "threads"; "t" ] ~doc:"Logical threads.")
-  in
-  let ops =
-    Arg.(
-      value & opt int 250
-      & info [ "ops" ] ~doc:"Operations per thread (fixed work, not time).")
-  in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Workload seed.") in
   let factors =
     Arg.(
       value
@@ -813,29 +699,6 @@ let causal_cmd =
             "Cost-table knobs to sweep (default: the persistence and \
              contention set; \"none\" = skip mechanism rows).")
   in
-  let json =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"Write the profile as JSON to $(docv) (\"-\" = stdout).")
-  in
-  let csv =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "csv" ] ~docv:"FILE"
-          ~doc:"Write the attribution table as CSV to $(docv).")
-  in
-  let check =
-    Arg.(
-      value & flag
-      & info [ "check" ]
-          ~doc:
-            "Smoke assertion: exit nonzero unless the profile reproduces \
-             the paper's ordering (high-impact pwbs above low-impact ones, \
-             psync sensitivity near zero).")
-  in
   let run algo mix quick threads ops seed factors no_sites no_categories
       mechanisms json csv check jobs =
     let base =
@@ -859,24 +722,11 @@ let causal_cmd =
           | None -> base.Causal.mechanisms);
       }
     in
-    let p = Causal.profile ~jobs:(resolve_jobs jobs) cfg in
-    (* --json - owns stdout; the table and "wrote" notices move aside. *)
-    let notice = if json = Some "-" then Format.eprintf else Format.printf in
-    if json <> Some "-" then Report.pp_causal Format.std_formatter p;
-    (match csv with
-    | Some path ->
-        Out_channel.with_open_text path (fun oc ->
-            Out_channel.output_string oc (Causal.to_csv p));
-        notice "wrote %s@." path
-    | None -> ());
-    (match json with
-    | Some "-" -> print_endline (Causal.to_json p)
-    | Some path ->
-        Out_channel.with_open_text path (fun oc ->
-            Out_channel.output_string oc (Causal.to_json p);
-            Out_channel.output_char oc '\n');
-        Format.printf "wrote %s@." path
-    | None -> ());
+    let p = Causal.profile ~jobs cfg in
+    let owned = owns_stdout [ json; csv ] in
+    if not owned then Report.pp_causal Format.std_formatter p;
+    write_output ~owned csv (Causal.to_csv p);
+    write_output ~owned json (Causal.to_json p ^ "\n");
     if check then begin
       (* The paper's ordering is per-instruction impact: one high-impact
          pwb costs far more than one low-impact pwb, even though the low
@@ -907,11 +757,11 @@ let causal_cmd =
         | _ -> false
       in
       if ordering_ok && psync_ok then
-        notice
+        notice ~owned
           "@.check OK: high-impact above low-impact per execution, psyncs \
            near zero@."
       else begin
-        notice "@.CHECK FAILED:%s%s@."
+        notice ~owned "@.CHECK FAILED:%s%s@."
           (if ordering_ok then ""
            else " high-impact per-execution sensitivity not above low-impact;")
           (if psync_ok then "" else " a psync site has material sensitivity;");
@@ -927,25 +777,21 @@ let causal_cmd =
           knob virtually scaled, and rank targets by throughput \
           sensitivity.")
     Term.(
-      const run $ algo $ mix $ quick $ threads $ ops $ seed $ factors
-      $ no_sites $ no_categories $ mechanisms $ json $ csv $ check $ jobs_arg)
+      const run $ algo $ mix $ quick $ threads ~default:16
+      $ ops ~doc:"Operations per thread (fixed work, not time)." ~default:250 ()
+      $ seed ~default:1 () $ factors $ no_sites $ no_categories $ mechanisms
+      $ json ~doc:"Write the profile as JSON to $(docv) (\"-\" = stdout)."
+      $ csv ~doc:"Write the attribution table as CSV to $(docv)."
+      $ check
+          ~doc:
+            "Smoke assertion: exit nonzero unless the profile reproduces \
+             the paper's ordering (high-impact pwbs above low-impact ones, \
+             psync sensitivity near zero)."
+      $ jobs_arg)
 
 (* -- trace (Perfetto export) ---------------------------------------------- *)
 
 let trace_cmd =
-  let threads =
-    Arg.(value & opt int 3 & info [ "threads"; "t" ] ~doc:"Logical threads.")
-  in
-  let ops =
-    Arg.(value & opt int 10 & info [ "ops" ] ~doc:"Operations per thread.")
-  in
-  let crashes =
-    Arg.(value & opt int 2 & info [ "crashes" ] ~doc:"Max crashes injected.")
-  in
-  let key_range =
-    Arg.(value & opt int 32 & info [ "keys" ] ~doc:"Key range size.")
-  in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Workload seed.") in
   let from =
     Arg.(
       value
@@ -977,8 +823,7 @@ let trace_cmd =
             "Re-parse the emitted JSON and check every thread track has at \
              least one complete span; exit nonzero otherwise.")
   in
-  let run algo mix threads ops crashes key_range seed from jsonl perfetto
-      validate =
+  let run algo mix threads ops crashes keys seed from jsonl perfetto validate =
     let src, cleanup =
       match from with
       | Some f -> (f, fun () -> ())
@@ -990,7 +835,7 @@ let trace_cmd =
                 let t = Filename.temp_file "repro-trace" ".jsonl" in
                 (t, fun () -> try Sys.remove t with Sys_error _ -> ())
           in
-          let cfg = campaign_cfg algo mix threads ops crashes key_range in
+          let cfg = campaign_cfg algo mix ~threads ~ops ~crashes ~keys in
           Metrics.enable ();
           let result =
             Fun.protect
@@ -1028,8 +873,7 @@ let trace_cmd =
           | Error msg ->
               Format.printf "VALIDATION FAILED: %s@." msg;
               exit 1
-        end
-  in
+        end  in
   Cmd.v
     (Cmd.info "trace"
        ~doc:
@@ -1038,47 +882,27 @@ let trace_cmd =
           one track per logical thread, operation spans, persistence \
           instants, crash/round markers.")
     Term.(
-      const run $ algo $ mix $ threads $ ops $ crashes $ key_range $ seed
-      $ from $ jsonl $ perfetto $ validate)
+      const run $ algo $ mix $ threads ~default:3 $ ops ~default:10 ()
+      $ crashes ~default:2 () $ keys ~default:32 $ seed ~default:1 () $ from
+      $ jsonl $ perfetto $ validate)
 
 (* -- serve (sharded store service) ----------------------------------------- *)
 
 let wb_conv =
-  let parse = function
-    | "rng" -> Ok `Rng
-    | "drop" -> Ok `Drop
-    | "all" -> Ok `All
-    | s -> (
-        match String.index_opt s ':' with
-        | Some i when String.sub s 0 i = "prefix" -> (
-            match
-              int_of_string_opt
-                (String.sub s (i + 1) (String.length s - i - 1))
-            with
-            | Some k when k >= 1 -> Ok (`Prefix k)
-            | _ -> Error (`Msg "expected rng | drop | all | prefix:<k>"))
-        | _ -> Error (`Msg "expected rng | drop | all | prefix:<k>"))
+  let parse s =
+    match Pmem.resolution_of_string s with
+    | Ok wb -> Ok wb
+    | Error _ -> Error (`Msg "expected rng | drop | all | prefix:<k>")
   in
-  let print ppf wb = Format.pp_print_string ppf (Store.wb_label wb) in
+  let print ppf wb = Format.pp_print_string ppf (Pmem.resolution_to_string wb) in
   Arg.conv (parse, print)
 
-let serve_replay file =
-  match Store_repro.load file with
-  | Error msg ->
-      Format.printf "cannot load %s: %s@." file msg;
-      exit 2
-  | Ok r -> (
-      Format.printf "%a" Store_repro.pp r;
-      match Store_repro.replay r with
-      | Error msg when String.equal msg r.Store_repro.error ->
-          Format.printf "reproduced: %s@." msg
-      | Error msg ->
-          Format.printf "reproduced a DIFFERENT failure: %s@." msg;
-          Format.printf "(recorded: %s)@." r.Store_repro.error;
-          exit 1
-      | Ok () ->
-          Format.printf "did NOT reproduce — the replay passed@.";
-          exit 1)
+(* A failing serve: save its repro, then explain it from that repro. *)
+let serve_failure msg sr repro_file =
+  pp_violation msg;
+  save_repro ~notice:"serve repro saved to" Store_repro.save repro_file sr;
+  pp_explained (Store_repro.explain sr);
+  exit 1
 
 let serve_cmd =
   let shards =
@@ -1087,17 +911,11 @@ let serve_cmd =
   let clients =
     Arg.(value & opt int 4 & info [ "clients" ] ~doc:"Client fibers.")
   in
-  let ops =
-    Arg.(value & opt int 200 & info [ "ops" ] ~doc:"Requests per client.")
-  in
   let batch =
     Arg.(
       value & opt int 1
       & info [ "batch" ]
           ~doc:"Max requests a server drains per mailbox activation.")
-  in
-  let key_range =
-    Arg.(value & opt int 128 & info [ "keys" ] ~doc:"Key range size.")
   in
   let skew =
     Arg.(
@@ -1243,52 +1061,12 @@ let serve_cmd =
       & info [ "restart-ns" ]
           ~doc:"Virtual restart latency charged before shard recovery.")
   in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Run seed.") in
-  let json =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"Write the SLO report as JSON to $(docv) (\"-\" = stdout).")
-  in
-  let csv =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "csv" ] ~docv:"FILE"
-          ~doc:
-            "Write the per-shard windowed time-series (throughput and mean \
-             latency per virtual-time window) as CSV to $(docv).")
-  in
-  let check =
-    Arg.(
-      value & flag
-      & info [ "check" ]
-          ~doc:
-            "Smoke assertion: exit nonzero unless zero requests were lost \
-             and (with a crash planned) survivors kept completing requests \
-             inside the recovery window.")
-  in
-  let repro_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "repro" ] ~docv:"FILE"
-          ~doc:"On failure, save a replayable serve repro to $(docv).")
-  in
   let replay =
     Arg.(
       value
       & opt (some file) None
       & info [ "replay" ] ~docv:"FILE"
           ~doc:"Replay a saved serve repro instead of running.")
-  in
-  let trace =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE"
-          ~doc:"Write a JSONL event trace of the serve to $(docv).")
   in
   let explore =
     Arg.(
@@ -1304,24 +1082,19 @@ let serve_cmd =
       value & opt int 64
       & info [ "dispatch-budget" ]
           ~doc:"Crash-point depth per victim explored by --explore.")
-  in
-  let run algo mix shards clients ops batch key_range skew open_loop
+  in  let run algo mix shards clients ops batch key_range skew open_loop
       crash_shard crash_after crash_both crash_cascade crash_dispatch wb wb2
       backend replicate failover_ns migrate migrate_after broken_handoff
       check_balance restart_ns seed json csv check repro_file replay trace
       explore dispatch_budget jobs =
     match replay with
-    | Some f -> serve_replay f
+    | Some f -> replay_run f false false None trace
     | None -> (
-        if
-          algo.Set_intf.fname = "harris"
-          && (crash_shard <> None || crash_both <> None
-             || crash_cascade <> None || explore || migrate <> None
-             || replicate)
-        then begin
-          Format.printf "harris is volatile: it cannot recover from crashes@.";
-          exit 1
-        end;
+        require_crash_capable
+          ~crashing:
+            (crash_shard <> None || crash_both <> None || crash_cascade <> None
+           || explore || migrate <> None || replicate)
+          algo;
         let backends =
           match backend with
           | None -> None
@@ -1407,17 +1180,14 @@ let serve_cmd =
           }
         in
         if explore then begin
-          let go () =
-            Store.explore ~dispatch_budget ~jobs:(resolve_jobs jobs) cfg
-          in
-          match (match trace with
-                 | Some p -> Trace.with_file p go
-                 | None -> go ())
+          match
+            with_trace trace (fun () ->
+                Store.explore ~dispatch_budget ~jobs cfg)
           with
           | Error msg ->
               Format.printf "explore failed: %s@." msg;
               exit 2
-          | Ok st ->
+          | Ok st -> (
               Format.printf
                 "store explore: %d executions, %d crashes fired, %d failures@."
                 st.Store.ex_executions st.Store.ex_fired st.Store.ex_failures;
@@ -1429,73 +1199,39 @@ let serve_cmd =
                 st.Store.ex_max_dispatch;
               match st.Store.ex_first_failure with
               | None -> ()
-              | Some msg ->
-                  Format.printf "DETECTABILITY VIOLATION — %s@." msg;
-                  (match st.Store.ex_first_cex with
+              | Some msg -> (
+                  match st.Store.ex_first_cex with
                   | Some (cex, sched, bare) ->
-                      let sr =
-                        Store_repro.of_config cex ~error:bare ~schedule:sched
-                      in
-                      (match repro_file with
-                      | Some p ->
-                          Store_repro.save p sr;
-                          Format.printf "serve repro saved to %s@." p
-                      | None -> ());
-                      (match Store_repro.explain sr with
-                      | Ok pm -> pp_postmortem pm
-                      | Error e -> pp_no_postmortem e)
+                      serve_failure msg
+                        (Store_repro.of_config cex ~error:bare ~schedule:sched)
+                        repro_file
                   | None ->
-                      pp_no_postmortem "no counterexample was recorded");
-                  exit 1
+                      pp_violation msg;
+                      pp_no_postmortem "no counterexample was recorded";
+                      exit 1))
         end
         else begin
           let sched = ref [] in
           let record c = sched := c :: !sched in
-          let go () = Store.run ~record cfg in
-          let result =
-            match trace with Some p -> Trace.with_file p go | None -> go ()
-          in
-          match result with
+          match with_trace trace (fun () -> Store.run ~record cfg) with
           | Error msg ->
-              Format.printf "DETECTABILITY VIOLATION — %s@." msg;
-              let sr =
-                Store_repro.of_config cfg ~error:msg
-                  ~schedule:(Array.of_list (List.rev !sched))
-              in
-              (match repro_file with
-              | Some p ->
-                  Store_repro.save p sr;
-                  Format.printf "serve repro saved to %s@." p
-              | None -> ());
-              (match Store_repro.explain sr with
-              | Ok pm -> pp_postmortem pm
-              | Error e -> pp_no_postmortem e);
-              exit 1
+              serve_failure msg
+                (Store_repro.of_config cfg ~error:msg
+                   ~schedule:(Array.of_list (List.rev !sched)))
+                repro_file
           | Ok report ->
-              (* --json - owns stdout for pipelines *)
-              if json <> Some "-" then Format.printf "%a" Slo.pp report;
-              (match csv with
-              | Some p ->
-                  Out_channel.with_open_text p (fun oc ->
-                      Out_channel.output_string oc (Slo.windows_csv report));
-                  if json <> Some "-" then Format.printf "wrote %s@." p
-              | None -> ());
-              (match json with
-              | Some "-" -> print_endline (Slo.to_json report)
-              | Some p ->
-                  Out_channel.with_open_text p (fun oc ->
-                      Out_channel.output_string oc (Slo.to_json report);
-                      Out_channel.output_char oc '\n');
-                  Format.printf "wrote %s@." p
-              | None -> ());
+              let owned = owns_stdout [ json; csv ] in
+              if not owned then Format.printf "%a" Slo.pp report;
+              write_output ~owned csv (Slo.windows_csv report);
+              write_output ~owned json (Slo.to_json report ^ "\n");
               if check || check_balance <> None then begin
                 match
                   Slo.check ?balance_max:check_balance
                     ~crash_expected:(crash <> None) report
                 with
-                | Ok () -> Format.printf "check OK@."
+                | Ok () -> notice ~owned "check OK@."
                 | Error msg ->
-                    Format.printf "CHECK FAILED: %s@." msg;
+                    notice ~owned "CHECK FAILED: %s@." msg;
                     exit 1
               end
         end)
@@ -1509,12 +1245,25 @@ let serve_cmd =
           it while the survivors keep serving; reports throughput, latency \
           quantiles, per-shard recovery durations and the degraded window.")
     Term.(
-      const run $ algo $ mix $ shards $ clients $ ops $ batch $ key_range
-      $ skew $ open_loop $ crash_shard $ crash_after $ crash_both
-      $ crash_cascade $ crash_dispatch $ wb $ wb2 $ backend $ replicate
-      $ failover_ns $ migrate $ migrate_after $ broken_handoff
-      $ check_balance $ restart_ns $ seed $ json $ csv $ check $ repro_file
-      $ replay $ trace $ explore $ dispatch_budget $ jobs_arg)
+      const run $ algo $ mix $ shards $ clients
+      $ ops ~doc:"Requests per client." ~default:200 ()
+      $ batch $ keys ~default:128 $ skew $ open_loop $ crash_shard
+      $ crash_after $ crash_both $ crash_cascade $ crash_dispatch $ wb $ wb2
+      $ backend $ replicate $ failover_ns $ migrate $ migrate_after
+      $ broken_handoff $ check_balance $ restart_ns
+      $ seed ~doc:"Run seed." ~default:1 ()
+      $ json ~doc:"Write the SLO report as JSON to $(docv) (\"-\" = stdout)."
+      $ csv
+          ~doc:
+            "Write the per-shard windowed time-series (throughput and mean \
+             latency per virtual-time window) as CSV to $(docv)."
+      $ check
+          ~doc:
+            "Smoke assertion: exit nonzero unless zero requests were lost \
+             and (with a crash planned) survivors kept completing requests \
+             inside the recovery window."
+      $ repro_out ~what:"serve repro" () $ replay $ trace ~what:"the serve"
+      $ explore $ dispatch_budget $ jobs_arg)
 
 (* -- classify ------------------------------------------------------------- *)
 

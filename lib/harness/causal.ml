@@ -397,32 +397,16 @@ let to_csv p =
     p.rows;
   Buffer.contents buf
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* JSON has no NaN: absent quantities (mechanism time shares, headroom
    without a 0x sweep) serialize as null. *)
-let json_float v = if Float.is_nan v then "null" else Printf.sprintf "%.6g" v
+let json_float v = Json.num "%.6g" (Some v)
 
 let to_json p =
   let buf = Buffer.create 4096 in
   let add = Buffer.add_string buf in
   add "{";
-  add (Printf.sprintf "\"algo\":\"%s\"," (json_escape p.algo));
-  add (Printf.sprintf "\"mix\":\"%s\"," (json_escape p.mix));
+  add (Printf.sprintf "\"algo\":\"%s\"," (Json.escape p.algo));
+  add (Printf.sprintf "\"mix\":\"%s\"," (Json.escape p.mix));
   add (Printf.sprintf "\"threads\":%d," p.threads);
   add (Printf.sprintf "\"ops_per_thread\":%d," p.ops_per_thread);
   add (Printf.sprintf "\"total_ops\":%d," p.total_ops);
@@ -443,8 +427,8 @@ let to_json p =
       if i > 0 then add ",";
       add "{";
       add (Printf.sprintf "\"rank\":%d," (i + 1));
-      add (Printf.sprintf "\"group\":\"%s\"," (json_escape r.group));
-      add (Printf.sprintf "\"target\":\"%s\"," (json_escape r.label));
+      add (Printf.sprintf "\"group\":\"%s\"," (Json.escape r.group));
+      add (Printf.sprintf "\"target\":\"%s\"," (Json.escape r.label));
       add (Printf.sprintf "\"executions\":%d," r.executions);
       add (Printf.sprintf "\"time_share\":%s," (json_float r.time_share));
       add (Printf.sprintf "\"sensitivity\":%s," (json_float r.sensitivity));

@@ -300,27 +300,32 @@ let run_once ?script ?repro_file ?observe cfg ~seed =
   | _ -> ());
   result
 
+(* Re-run [r]'s recorded rounds.  Any divergence means the run was NOT
+   the recorded execution: fail loudly — even a "reproduced" failure
+   message could belong to a different interleaving. *)
+let rerun (r : Repro.t) cfg =
+  let first_div = ref None in
+  let on_divergence ~round ~step ~want =
+    if !first_div = None then first_div := Some (round, step, want)
+  in
+  let result, _ = run_logged ~script:r.rounds ~on_divergence cfg ~seed:r.seed in
+  match (!first_div, result) with
+  | Some (round, step, want), _ ->
+      `Diverged
+        (Printf.sprintf
+           "schedule divergence at round %d step %d (recorded tid %d not \
+            ready): the replay executed a different interleaving"
+           round step want)
+  | None, Ok _ -> `Passed
+  | None, Error e -> `Failed e
+
 let replay (r : Repro.t) =
   match config_of r with
   | Error _ as e -> e
   | Ok cfg -> (
-      let first_div = ref None in
-      let on_divergence ~round ~step ~want =
-        if !first_div = None then first_div := Some (round, step, want)
-      in
-      let result, _ = run_logged ~script:r.rounds ~on_divergence cfg ~seed:r.seed in
-      (* Any divergence means the run was NOT the recorded execution:
-         fail loudly — even a "reproduced" failure message could belong
-         to a different interleaving. *)
-      match (!first_div, result) with
-      | Some (round, step, want), _ ->
-          Error
-            (Printf.sprintf
-               "schedule divergence at round %d step %d (recorded tid %d not \
-                ready): the replay executed a different interleaving"
-               round step want)
-      | None, Ok _ -> Ok ()
-      | None, (Error _ as e) -> e)
+      match rerun r cfg with
+      | `Passed -> Ok ()
+      | `Diverged msg | `Failed msg -> Error msg)
 
 (* ---- crash forensics --------------------------------------------------- *)
 
@@ -328,10 +333,10 @@ let replay (r : Repro.t) =
    costs nothing to ordinary campaigns because it only exists here.  A
    passing run yields no postmortem — that is the healthy-variant
    property test/test_forensics.ml locks down. *)
-let forensic_run ?script ?on_divergence cfg ~seed =
+let forensic_run cfg ~seed =
   Forensics.start ();
   Fun.protect ~finally:Forensics.stop (fun () ->
-      let result, rounds = run_logged ?script ?on_divergence cfg ~seed in
+      let result, rounds = run_logged cfg ~seed in
       let pm =
         match result with
         | Ok _ -> None
@@ -341,39 +346,13 @@ let forensic_run ?script ?on_divergence cfg ~seed =
       in
       (result, rounds, pm))
 
-(* Replay a repro under the recorder and return its postmortem.  Like
-   {!replay}, a schedule divergence or a different failure is an error:
-   a postmortem must describe the recorded execution, not a neighbor. *)
+(* Replay a repro under the recorder and return its postmortem. *)
 let explain (r : Repro.t) =
   match config_of r with
-  | Error msg -> Error msg
-  | Ok cfg -> (
-      let first_div = ref None in
-      let on_divergence ~round ~step ~want =
-        if !first_div = None then first_div := Some (round, step, want)
-      in
-      let result, _, pm =
-        forensic_run ~script:r.rounds ~on_divergence cfg ~seed:r.seed
-      in
-      match (!first_div, result, pm) with
-      | Some (round, step, want), _, _ ->
-          Error
-            (Printf.sprintf
-               "schedule divergence at round %d step %d (recorded tid %d not \
-                ready): the replay executed a different interleaving"
-               round step want)
-      | None, Ok _, _ ->
-          Error "the repro did not fail on replay — nothing to explain"
-      | None, Error e, Some pm ->
-          if String.equal e r.Repro.error then Ok pm
-          else
-            Error
-              (Printf.sprintf
-                 "replay failed differently: recorded %S, replay produced %S"
-                 r.Repro.error e)
-      | None, Error e, None ->
-          (* forensic_run always builds a postmortem for an Error result *)
-          Error ("postmortem construction failed for: " ^ e))
+  | Error _ as e -> e
+  | Ok cfg ->
+      Forensics.explain_replay ~algo:r.algo ~seed:r.seed ~recorded:r.error
+        (fun () -> rerun r cfg)
 
 (* ---- greedy shrinking -------------------------------------------------- *)
 

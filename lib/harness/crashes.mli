@@ -108,8 +108,6 @@ val replay : Repro.t -> (unit, string) result
     diverged "replay" proves nothing about the recorded failure. *)
 
 val forensic_run :
-  ?script:Repro.round list ->
-  ?on_divergence:(round:int -> step:int -> want:int -> unit) ->
   config ->
   seed:int ->
   (outcome, string) result * Repro.round list * Forensics.postmortem option

@@ -59,6 +59,18 @@ val build : algo:string -> seed:int -> error:string -> postmortem
 
     @raise Invalid_argument when the recorder is not active. *)
 
+val explain_replay :
+  algo:string ->
+  seed:int ->
+  recorded:string ->
+  (unit -> [ `Diverged of string | `Passed | `Failed of string ]) ->
+  (postmortem, string) result
+(** [explain_replay ~algo ~seed ~recorded replay] runs [replay] under the
+    recorder and builds the postmortem of its failure.  A postmortem must
+    describe the recorded execution, so a diverged schedule, a passing
+    replay and a failure other than [recorded] are each an [Error].  The
+    one explain path of both replay-file kinds. *)
+
 val render_text : postmortem -> string
 (** Human-readable postmortem; deterministic byte-for-byte. *)
 

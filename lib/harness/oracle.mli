@@ -29,5 +29,3 @@ val check_queue :
     [Ins k] must enqueue (ok), [Del _] must consume the head and report
     exactly whether the topic was non-empty, [Fnd k] must report model
     membership; the final model queue must equal [final]. *)
-
-val pp_event : Format.formatter -> event -> unit

@@ -10,190 +10,6 @@
 
 type stats = { out_spans : int; out_threads : int; in_events : int }
 
-(* ---- minimal JSON ------------------------------------------------------ *)
-
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-exception Bad of string
-
-let parse_json (s : string) : (json, string) result =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then s.[!pos] else '\000' in
-  let advance () = incr pos in
-  let skip_ws () =
-    while
-      !pos < n
-      && match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
-    do
-      incr pos
-    done
-  in
-  let expect c =
-    if peek () = c then advance ()
-    else raise (Bad (Printf.sprintf "expected '%c' at offset %d" c !pos))
-  in
-  let lit w v =
-    let k = String.length w in
-    if !pos + k <= n && String.sub s !pos k = w then begin
-      pos := !pos + k;
-      v
-    end
-    else raise (Bad (Printf.sprintf "bad literal at offset %d" !pos))
-  in
-  let str () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then raise (Bad "unterminated string");
-      match s.[!pos] with
-      | '"' ->
-          advance ();
-          Buffer.contents b
-      | '\\' ->
-          advance ();
-          (match peek () with
-          | '"' -> Buffer.add_char b '"'; advance ()
-          | '\\' -> Buffer.add_char b '\\'; advance ()
-          | '/' -> Buffer.add_char b '/'; advance ()
-          | 'n' -> Buffer.add_char b '\n'; advance ()
-          | 't' -> Buffer.add_char b '\t'; advance ()
-          | 'r' -> Buffer.add_char b '\r'; advance ()
-          | 'b' -> Buffer.add_char b '\b'; advance ()
-          | 'f' -> Buffer.add_char b '\012'; advance ()
-          | 'u' ->
-              advance ();
-              if !pos + 4 > n then raise (Bad "truncated \\u escape");
-              let h = String.sub s !pos 4 in
-              pos := !pos + 4;
-              (match int_of_string_opt ("0x" ^ h) with
-              | None -> raise (Bad "bad \\u escape")
-              | Some code when code < 0x80 -> Buffer.add_char b (Char.chr code)
-              | Some _ ->
-                  (* non-ASCII: keep escaped, enough for validation *)
-                  Buffer.add_string b ("\\u" ^ h))
-          | _ -> raise (Bad (Printf.sprintf "bad escape at offset %d" !pos)));
-          go ()
-      | c ->
-          Buffer.add_char b c;
-          advance ();
-          go ()
-    in
-    go ()
-  in
-  let num () =
-    let start = !pos in
-    if peek () = '-' then advance ();
-    while
-      match peek () with
-      | '0' .. '9' | '.' | 'e' | 'E' | '+' | '-' -> true
-      | _ -> false
-    do
-      advance ()
-    done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> Num f
-    | None -> raise (Bad (Printf.sprintf "bad number at offset %d" start))
-  in
-  let rec value () =
-    skip_ws ();
-    match peek () with
-    | '{' -> obj ()
-    | '[' -> arr ()
-    | '"' -> Str (str ())
-    | 't' -> lit "true" (Bool true)
-    | 'f' -> lit "false" (Bool false)
-    | 'n' -> lit "null" Null
-    | '-' | '0' .. '9' -> num ()
-    | c -> raise (Bad (Printf.sprintf "unexpected '%c' at offset %d" c !pos))
-  and arr () =
-    expect '[';
-    skip_ws ();
-    if peek () = ']' then begin
-      advance ();
-      Arr []
-    end
-    else
-      let rec items acc =
-        let v = value () in
-        skip_ws ();
-        match peek () with
-        | ',' ->
-            advance ();
-            items (v :: acc)
-        | ']' ->
-            advance ();
-            Arr (List.rev (v :: acc))
-        | _ -> raise (Bad (Printf.sprintf "expected ',' or ']' at %d" !pos))
-      in
-      items []
-  and obj () =
-    expect '{';
-    skip_ws ();
-    if peek () = '}' then begin
-      advance ();
-      Obj []
-    end
-    else
-      let rec fields acc =
-        skip_ws ();
-        let k = str () in
-        skip_ws ();
-        expect ':';
-        let v = value () in
-        skip_ws ();
-        match peek () with
-        | ',' ->
-            advance ();
-            fields ((k, v) :: acc)
-        | '}' ->
-            advance ();
-            Obj (List.rev ((k, v) :: acc))
-        | _ -> raise (Bad (Printf.sprintf "expected ',' or '}' at %d" !pos))
-      in
-      fields []
-  in
-  try
-    let v = value () in
-    skip_ws ();
-    if !pos <> n then Error (Printf.sprintf "trailing garbage at offset %d" !pos)
-    else Ok v
-  with Bad m -> Error m
-
-(* ---- field accessors --------------------------------------------------- *)
-
-let field k fields = List.assoc_opt k fields
-let fnum k fields = match field k fields with Some (Num f) -> Some f | _ -> None
-let fstr k fields = match field k fields with Some (Str s) -> Some s | _ -> None
-
-let fbool k fields =
-  match field k fields with Some (Bool b) -> Some b | _ -> None
-
-let fint k fields = Option.map int_of_float (fnum k fields)
-
-(* ---- output ------------------------------------------------------------ *)
-
-let esc s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let us_of_ns ns = ns /. 1000.
 
 (* ---- conversion -------------------------------------------------------- *)
@@ -239,13 +55,13 @@ let convert ~jsonl ~out =
             raw
               (Printf.sprintf
                  {|{"name":"%s","ph":"X","ts":%.3f,"dur":%.3f,"pid":1,"tid":%d,"args":{%s}}|}
-                 (esc name) (us_of_ns ts) (us_of_ns dur) tid args)
+                 (Json.escape name) (us_of_ns ts) (us_of_ns dur) tid args)
           in
           let instant ~tid ~scope ~name ~ts ~args =
             raw
               (Printf.sprintf
                  {|{"name":"%s","ph":"i","ts":%.3f,"pid":1,"tid":%d,"s":"%s"%s}|}
-                 (esc name) (us_of_ns ts) tid scope
+                 (Json.escape name) (us_of_ns ts) tid scope
                  (if args = "" then "" else Printf.sprintf {|,"args":{%s}|} args))
           in
           let close_open_spans ?(flows = false) reason =
@@ -276,14 +92,14 @@ let convert ~jsonl ~out =
           in
           let on_line fields =
             incr events;
-            match fstr "ev" fields with
+            match Json.fstr "ev" fields with
             | Some "sched" ->
-                Option.iter see (fint "tid" fields);
-                Option.iter clockbump (fnum "clock" fields)
+                Option.iter see (Json.fint "tid" fields);
+                Option.iter clockbump (Json.fnum "clock" fields)
             | Some "op_begin" -> (
                 match
-                  (fint "tid" fields, fstr "kind" fields, fint "key" fields,
-                   fnum "clock" fields)
+                  (Json.fint "tid" fields, Json.fstr "kind" fields, Json.fint "key" fields,
+                   Json.fnum "clock" fields)
                 with
                 | Some tid, Some kind, Some key, Some clock ->
                     see tid;
@@ -302,7 +118,7 @@ let convert ~jsonl ~out =
                       { os_kind = kind; os_key = key; os_begin = clock }
                 | _ -> ())
             | Some "op_end" -> (
-                match (fint "tid" fields, fnum "clock" fields) with
+                match (Json.fint "tid" fields, Json.fnum "clock" fields) with
                 | Some tid, Some clock -> (
                     see tid;
                     clockbump clock;
@@ -310,10 +126,10 @@ let convert ~jsonl ~out =
                     | None -> ()
                     | Some os ->
                         Hashtbl.remove opens tid;
-                        let ok = Option.value ~default:false (fbool "ok" fields) in
-                        let cf = Option.value ~default:0 (fint "cas_fail" fields) in
+                        let ok = Option.value ~default:false (Json.fbool "ok" fields) in
+                        let cf = Option.value ~default:0 (Json.fint "cas_fail" fields) in
                         let helped =
-                          Option.value ~default:false (fbool "helped" fields)
+                          Option.value ~default:false (Json.fbool "helped" fields)
                         in
                         span ~tid
                           ~name:(Printf.sprintf "%s(%d)" os.os_kind os.os_key)
@@ -325,26 +141,26 @@ let convert ~jsonl ~out =
                                ok cf helped os.os_key))
                 | _ -> ())
             | Some "cas" -> (
-                match (fint "tid" fields, fnum "clock" fields) with
+                match (Json.fint "tid" fields, Json.fnum "clock" fields) with
                 | Some tid, Some clock ->
                     see tid;
                     clockbump clock;
-                    if fbool "ok" fields = Some false then
+                    if Json.fbool "ok" fields = Some false then
                       instant ~tid ~scope:"t"
                         ~name:
                           (Printf.sprintf "cas-fail %s"
-                             (Option.value ~default:"?" (fstr "line" fields)))
+                             (Option.value ~default:"?" (Json.fstr "line" fields)))
                         ~ts:(!offset +. clock) ~args:""
                 | _ -> ())
             | Some (("pwb" | "pfence" | "psync") as kind) -> (
-                match (fint "tid" fields, fnum "clock" fields) with
+                match (Json.fint "tid" fields, Json.fnum "clock" fields) with
                 | Some tid, Some clock ->
                     see tid;
                     clockbump clock;
-                    let site = Option.value ~default:"?" (fstr "site" fields) in
+                    let site = Option.value ~default:"?" (Json.fstr "site" fields) in
                     let args =
-                      match fstr "impact" fields with
-                      | Some i -> Printf.sprintf {|"impact":"%s"|} (esc i)
+                      match Json.fstr "impact" fields with
+                      | Some i -> Printf.sprintf {|"impact":"%s"|} (Json.escape i)
                       | None -> ""
                     in
                     instant ~tid ~scope:"t"
@@ -356,7 +172,7 @@ let convert ~jsonl ~out =
                 instant ~tid:0 ~scope:"g" ~name:"crash" ~ts:(now_global ())
                   ~args:""
             | Some "alloc" -> (
-                match (fstr "heap" fields, fnum "clock" fields) with
+                match (Json.fstr "heap" fields, Json.fnum "clock" fields) with
                 | Some heap, Some clock ->
                     clockbump clock;
                     let n =
@@ -366,15 +182,15 @@ let convert ~jsonl ~out =
                     raw
                       (Printf.sprintf
                          {|{"name":"heap %s occupancy (lines)","ph":"C","ts":%.3f,"pid":1,"args":{"lines":%d}}|}
-                         (esc heap)
+                         (Json.escape heap)
                          (us_of_ns (!offset +. clock))
                          n)
                 | _ -> ())
             | Some "win" -> (
                 (* per-shard windowed time-series -> counter tracks *)
                 match
-                  (fint "sid" fields, fnum "start" fields,
-                   fint "completions" fields, fnum "mops" fields)
+                  (Json.fint "sid" fields, Json.fnum "start" fields,
+                   Json.fint "completions" fields, Json.fnum "mops" fields)
                 with
                 | Some sid, Some start, Some _, Some mops ->
                     let ts = us_of_ns (!offset +. start) in
@@ -382,7 +198,7 @@ let convert ~jsonl ~out =
                       (Printf.sprintf
                          {|{"name":"shard %d throughput (Mops/s)","ph":"C","ts":%.3f,"pid":1,"args":{"mops":%.6f}}|}
                          sid ts mops);
-                    (match fnum "lat_mean" fields with
+                    (match Json.fnum "lat_mean" fields with
                     | Some lat ->
                         raw
                           (Printf.sprintf
@@ -394,14 +210,14 @@ let convert ~jsonl ~out =
                 close_open_spans "interrupted";
                 offset := now_global ();
                 round_max := 0.;
-                let kind = Option.value ~default:"?" (fstr "kind" fields) in
-                let nr = Option.value ~default:0 (fint "n" fields) in
+                let kind = Option.value ~default:"?" (Json.fstr "kind" fields) in
+                let nr = Option.value ~default:0 (Json.fint "n" fields) in
                 instant ~tid:0 ~scope:"g"
                   ~name:(Printf.sprintf "round %d (%s)" nr kind)
                   ~ts:!offset ~args:""
             | Some "note" ->
                 instant ~tid:0 ~scope:"g"
-                  ~name:(Option.value ~default:"note" (fstr "msg" fields))
+                  ~name:(Option.value ~default:"note" (Json.fstr "msg" fields))
                   ~ts:(now_global ()) ~args:""
             | _ -> ()
           in
@@ -411,11 +227,11 @@ let convert ~jsonl ~out =
           |> List.iter (fun line ->
                  incr lineno;
                  if !err = None && String.length line > 0 then
-                   match parse_json line with
+                   match Json.parse line with
                    | Error m ->
                        err :=
                          Some (Printf.sprintf "%s:%d: %s" jsonl !lineno m)
-                   | Ok (Obj fields) -> on_line fields
+                   | Ok (Json.Obj fields) -> on_line fields
                    | Ok _ ->
                        err :=
                          Some
@@ -457,19 +273,19 @@ let validate_file file =
   with
   | Error m -> Error m
   | Ok text -> (
-      match parse_json text with
+      match Json.parse text with
       | Error m -> Error (Printf.sprintf "%s: %s" file m)
-      | Ok (Obj fields) -> (
-          match field "traceEvents" fields with
-          | Some (Arr evs) ->
+      | Ok (Json.Obj fields) -> (
+          match Json.field "traceEvents" fields with
+          | Some (Json.Arr evs) ->
               let spans_per_tid : (int, int) Hashtbl.t = Hashtbl.create 16 in
               let tracks : (int, unit) Hashtbl.t = Hashtbl.create 16 in
               let spans = ref 0 in
               List.iter
                 (fun ev ->
                   match ev with
-                  | Obj f -> (
-                      match (fstr "ph" f, fint "tid" f) with
+                  | Json.Obj f -> (
+                      match (Json.fstr "ph" f, Json.fint "tid" f) with
                       | Some "X", Some tid ->
                           incr spans;
                           Hashtbl.replace spans_per_tid tid
@@ -477,7 +293,7 @@ let validate_file file =
                             + Option.value ~default:0
                                 (Hashtbl.find_opt spans_per_tid tid))
                       | Some "M", Some tid
-                        when fstr "name" f = Some "thread_name" ->
+                        when Json.fstr "name" f = Some "thread_name" ->
                           Hashtbl.replace tracks tid ()
                       | _ -> ())
                   | _ -> ())

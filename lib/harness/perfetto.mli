@@ -30,22 +30,8 @@ val convert : jsonl:string -> out:string -> (stats, string) result
 (** [convert ~jsonl ~out] reads [jsonl] and writes [out].  [Error] on
     unreadable input or a line that does not parse. *)
 
-(** {1 Minimal JSON for validation}
-
-    A tiny recursive-descent parser — just enough to re-read the emitted
-    file and check it structurally, with no external dependency. *)
-
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-val parse_json : string -> (json, string) result
-
 val validate_file : string -> (stats, string) result
 (** Parse [file] as [trace_event] JSON and check that it has a
     [traceEvents] array and that every thread track carries at least one
-    complete ([ph = "X"]) span.  Returns the re-counted stats. *)
+    complete ([ph = "X"]) span ({!Json.parse} re-reads it).  Returns the
+    re-counted stats. *)

@@ -37,69 +37,36 @@ type t = {
 
 let magic = "tracking-nvm-repro v1"
 
-let one_line s =
-  String.map (function '\n' | '\r' -> ' ' | c -> c) s
-
 let kind_name = function `Work -> "work" | `Recover -> "recover"
 
-let schedule_string sched =
-  if Array.length sched = 0 then "-"
-  else
-    String.concat ","
-      (Array.to_list (Array.map string_of_int sched))
-
-let wb_string = function
-  | `Rng -> ""
-  | `Drop -> " drop"
-  | `All -> " all"
-  | `Prefix k -> Printf.sprintf " prefix:%d" k
+(* A round line is "<kind> <crash_at> <schedule>" with the write-back
+   resolution appended as a fourth token only when it is not [`Rng]:
+   files written before explicit resolutions existed stay valid. *)
+let round_string rd =
+  Printf.sprintf "%s %d %s%s" (kind_name rd.kind) rd.crash_at
+    (Repro_file.schedule_to_string rd.schedule)
+    (match rd.wb with
+    | `Rng -> ""
+    | wb -> " " ^ Pmem.resolution_to_string wb)
 
 let pp ppf r =
-  Format.fprintf ppf "%s@." magic;
-  Format.fprintf ppf "algo %s@." r.algo;
-  Format.fprintf ppf "threads %d@." r.threads;
-  Format.fprintf ppf "ops-per-thread %d@." r.ops_per_thread;
-  Format.fprintf ppf "find-pct %d@." r.find_pct;
-  Format.fprintf ppf "key-range %d@." r.key_range;
-  Format.fprintf ppf "prefill %d@." r.prefill;
-  Format.fprintf ppf "max-crashes %d@." r.max_crashes;
-  Format.fprintf ppf "seed %d@." r.seed;
-  Format.fprintf ppf "error %s@." (one_line r.error);
-  List.iter
-    (fun rd ->
-      Format.fprintf ppf "round %s %d %s%s@." (kind_name rd.kind) rd.crash_at
-        (schedule_string rd.schedule) (wb_string rd.wb))
-    r.rounds
+  Repro_file.pp ~magic ppf
+    ([
+       ("algo", r.algo);
+       ("threads", string_of_int r.threads);
+       ("ops-per-thread", string_of_int r.ops_per_thread);
+       ("find-pct", string_of_int r.find_pct);
+       ("key-range", string_of_int r.key_range);
+       ("prefill", string_of_int r.prefill);
+       ("max-crashes", string_of_int r.max_crashes);
+       ("seed", string_of_int r.seed);
+       ("error", r.error);
+     ]
+    @ List.map (fun rd -> ("round", round_string rd)) r.rounds)
 
-let save path r =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      let ppf = Format.formatter_of_out_channel oc in
-      pp ppf r;
-      Format.pp_print_flush ppf ())
+let save path r = Repro_file.save pp path r
 
 (* ---- parsing ---------------------------------------------------------- *)
-
-let parse_schedule = function
-  | "-" | "" -> Ok [||]
-  | s -> (
-      let parts = String.split_on_char ',' s in
-      try Ok (Array.of_list (List.map int_of_string parts))
-      with Failure _ -> Error (Printf.sprintf "bad schedule %S" s))
-
-let parse_wb = function
-  | "drop" -> Ok `Drop
-  | "all" -> Ok `All
-  | s -> (
-      match String.index_opt s ':' with
-      | Some i
-        when String.sub s 0 i = "prefix" -> (
-          match int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1)) with
-          | Some k when k >= 1 -> Ok (`Prefix k)
-          | _ -> Error (Printf.sprintf "bad write-back resolution %S" s))
-      | _ -> Error (Printf.sprintf "bad write-back resolution %S" s))
 
 let parse_round line =
   match String.split_on_char ' ' line with
@@ -112,10 +79,12 @@ let parse_round line =
       in
       let wb =
         match fields with
-        | [ _; _; _; w ] -> parse_wb w
+        | [ _; _; _; w ] -> Pmem.resolution_of_string w
         | _ -> Ok `Rng
       in
-      match (kind, int_of_string_opt crash_at, parse_schedule sched, wb) with
+      match
+        (kind, int_of_string_opt crash_at, Repro_file.schedule_of_string sched, wb)
+      with
       | Ok kind, Some crash_at, Ok schedule, Ok wb ->
           Ok { kind; crash_at; schedule; wb }
       | (Error _ as e), _, _, _ -> e
@@ -124,96 +93,52 @@ let parse_round line =
       | _, _, _, (Error _ as e) -> e)
   | _ -> Error (Printf.sprintf "bad round line %S" line)
 
+let fields =
+  Repro_file.
+    [
+      text "algo" (fun r algo -> { r with algo });
+      int "threads" (fun r threads -> { r with threads });
+      int "ops-per-thread" (fun r ops_per_thread -> { r with ops_per_thread });
+      int "find-pct" (fun r find_pct -> { r with find_pct });
+      int "key-range" (fun r key_range -> { r with key_range });
+      int "prefill" (fun r prefill -> { r with prefill });
+      int "max-crashes" (fun r max_crashes -> { r with max_crashes });
+      int "seed" (fun r seed -> { r with seed });
+      text "error" (fun r error -> { r with error });
+      (* rounds accumulate newest-first and are reversed once in [load] *)
+      field ~repeat:true "round" (fun r v ->
+          Result.map (fun rd -> { r with rounds = rd :: r.rounds }) (parse_round v));
+    ]
+
+let empty =
+  {
+    algo = "";
+    threads = 0;
+    ops_per_thread = 0;
+    find_pct = 0;
+    key_range = 0;
+    prefill = 0;
+    max_crashes = 0;
+    seed = 0;
+    error = "";
+    rounds = [];
+  }
+
 let load path =
-  match In_channel.with_open_text path In_channel.input_lines with
-  | exception Sys_error msg -> Error msg
-  | [] -> Error "empty repro file"
-  | first :: _ when first <> magic ->
-      Error (Printf.sprintf "not a repro file (expected %S)" magic)
-  | _ :: lines -> (
-      let r =
-        ref
-          {
-            algo = "";
-            threads = 0;
-            ops_per_thread = 0;
-            find_pct = 0;
-            key_range = 0;
-            prefill = 0;
-            max_crashes = 0;
-            seed = 0;
-            error = "";
-            rounds = [];
-          }
-      in
-      let err = ref None in
-      let fail msg = if !err = None then err := Some msg in
-      let seen = ref [] in
-      (* a configuration key repeated in the file is corruption, not a
-         harmless override: reject it rather than silently last-wins *)
-      let once key =
-        if List.mem key !seen then fail (Printf.sprintf "duplicate field %S" key)
-        else seen := key :: !seen
-      in
-      let int_field key set v =
-        once key;
-        match int_of_string_opt v with
-        | Some n -> r := set !r n
-        | None -> fail (Printf.sprintf "bad integer %S" v)
-      in
-      (* rounds accumulate newest-first and reverse once at the end: the
-         old [rounds @ [rd]] append was quadratic in the round count *)
-      let rounds_rev = ref [] in
-      List.iter
-        (fun line ->
-          let line = String.trim line in
-          if line <> "" then
-            let key, value =
-              match String.index_opt line ' ' with
-              | None -> (line, "")
-              | Some i ->
-                  ( String.sub line 0 i,
-                    String.sub line (i + 1) (String.length line - i - 1) )
-            in
-            match key with
-            | "algo" ->
-                once key;
-                r := { !r with algo = value }
-            | "threads" -> int_field key (fun r n -> { r with threads = n }) value
-            | "ops-per-thread" ->
-                int_field key (fun r n -> { r with ops_per_thread = n }) value
-            | "find-pct" ->
-                int_field key (fun r n -> { r with find_pct = n }) value
-            | "key-range" ->
-                int_field key (fun r n -> { r with key_range = n }) value
-            | "prefill" -> int_field key (fun r n -> { r with prefill = n }) value
-            | "max-crashes" ->
-                int_field key (fun r n -> { r with max_crashes = n }) value
-            | "seed" -> int_field key (fun r n -> { r with seed = n }) value
-            | "error" ->
-                once key;
-                r := { !r with error = value }
-            | "round" -> (
-                match parse_round value with
-                | Ok rd -> rounds_rev := rd :: !rounds_rev
-                | Error e -> fail e)
-            | k -> fail (Printf.sprintf "unknown field %S" k))
-        lines;
-      match !err with
-      | Some e -> Error e
-      | None ->
-          let r = { !r with rounds = List.rev !rounds_rev } in
-          (* A config a campaign could never have run is a vacuous repro:
-             replaying it "passes" while reproducing nothing.  Reject it
-             here so --replay fails loudly on corrupt or truncated files. *)
-          if r.algo = "" then Error "missing algo field"
-          else if r.threads <= 0 then Error "missing/invalid threads field"
-          else if r.ops_per_thread <= 0 then
-            Error "missing/invalid ops-per-thread field"
-          else if r.key_range <= 0 then Error "missing/invalid key-range field"
-          else if r.max_crashes <= 0 then
-            Error "missing/invalid max-crashes field"
-          else if r.prefill < 0 then Error "invalid prefill field"
-          else if r.find_pct < 0 || r.find_pct > 100 then
-            Error "invalid find-pct field"
-          else Ok r)
+  match Repro_file.load ~what:"repro" ~magic fields empty path with
+  | Error _ as e -> e
+  | Ok r ->
+      let r = { r with rounds = List.rev r.rounds } in
+      (* A config a campaign could never have run is a vacuous repro:
+         replaying it "passes" while reproducing nothing.  Reject it
+         here so --replay fails loudly on corrupt or truncated files. *)
+      if r.algo = "" then Error "missing algo field"
+      else if r.threads <= 0 then Error "missing/invalid threads field"
+      else if r.ops_per_thread <= 0 then
+        Error "missing/invalid ops-per-thread field"
+      else if r.key_range <= 0 then Error "missing/invalid key-range field"
+      else if r.max_crashes <= 0 then Error "missing/invalid max-crashes field"
+      else if r.prefill < 0 then Error "invalid prefill field"
+      else if r.find_pct < 0 || r.find_pct > 100 then
+        Error "invalid find-pct field"
+      else Ok r

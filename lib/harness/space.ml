@@ -325,7 +325,8 @@ let render_json cfg (rs : results) =
   let kv_list l =
     String.concat ","
       (List.map
-         (fun (k, n) -> Printf.sprintf {|{"name":%S,"lines":%d}|} k n)
+         (fun (k, n) ->
+           Printf.sprintf {|{"name":"%s","lines":%d}|} (Json.escape k) n)
          l)
   in
   pf
@@ -336,11 +337,13 @@ let render_json cfg (rs : results) =
     (fun i (name, r) ->
       if i > 0 then pf ",";
       match r with
-      | Error e -> pf {|{"variant":%S,"error":%S}|} name e
+      | Error e ->
+          pf {|{"variant":"%s","error":"%s"}|} (Json.escape name) (Json.escape e)
       | Ok s ->
           pf
-            {|{"variant":%S,"threads":%d,"ops":%d,"crashes":%d,"total_lines":%d,"total_bytes":%d,"live_payload_lines":%d,"metadata_lines":%d,"garbage_lines":%d,"lines_per_op":%.4f,"bytes_per_op":%.2f,"metadata_overhead_ratio":%.4f,"garbage_per_op":%.4f,"metadata_by_kind":[%s],"garbage_sites":[%s],"garbage_by_op":[%s],"garbage_growth_windows":[%s],"garbage_growing":%b,"supports_crash":%b,"lower_bound_ok":%b}|}
-            s.sv_variant s.sv_threads s.sv_ops s.sv_crashes s.sv_total_lines
+            {|{"variant":"%s","threads":%d,"ops":%d,"crashes":%d,"total_lines":%d,"total_bytes":%d,"live_payload_lines":%d,"metadata_lines":%d,"garbage_lines":%d,"lines_per_op":%.4f,"bytes_per_op":%.2f,"metadata_overhead_ratio":%.4f,"garbage_per_op":%.4f,"metadata_by_kind":[%s],"garbage_sites":[%s],"garbage_by_op":[%s],"garbage_growth_windows":[%s],"garbage_growing":%b,"supports_crash":%b,"lower_bound_ok":%b}|}
+            (Json.escape s.sv_variant) s.sv_threads s.sv_ops s.sv_crashes
+            s.sv_total_lines
             (s.sv_total_lines * bytes_per_line)
             s.sv_payload_lines s.sv_meta_lines s.sv_garbage_lines
             (lines_per_op s) (bytes_per_op s) (meta_ratio s) (garbage_rate s)

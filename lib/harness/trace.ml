@@ -17,21 +17,6 @@ let set_sink v = Domain.DLS.set sink v
 
 let active () = get_sink () <> None
 
-let escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let emit fmt =
   Printf.ksprintf
     (fun line ->
@@ -60,28 +45,28 @@ let clk () = if Sim.in_sim () then Sim.now () else 0.
 
 let on_pmem_event : Pmem.trace_event -> unit = function
   | Pmem.Read { tid; line; hit } ->
-      emit {|{"ev":"read","tid":%d,"line":"%s","hit":%b}|} tid (escape line)
+      emit {|{"ev":"read","tid":%d,"line":"%s","hit":%b}|} tid (Json.escape line)
         hit
   | Pmem.Write { tid; line; hit; invalidated } ->
       emit {|{"ev":"write","tid":%d,"line":"%s","hit":%b,"inv":%d}|} tid
-        (escape line) hit invalidated
+        (Json.escape line) hit invalidated
   | Pmem.Cas { tid; line; success; invalidated } ->
       emit {|{"ev":"cas","tid":%d,"line":"%s","ok":%b,"inv":%d,"clock":%.1f}|}
-        tid (escape line) success invalidated (clk ())
+        tid (Json.escape line) success invalidated (clk ())
   | Pmem.Pwb { tid; site; impact; line } ->
       emit
         {|{"ev":"pwb","tid":%d,"site":"%s","impact":"%s","clock":%.1f,"line":"%s"}|}
-        tid (escape site) (impact_name impact) (clk ()) (escape line)
+        tid (Json.escape site) (impact_name impact) (clk ()) (Json.escape line)
   | Pmem.Pfence { tid; site } ->
       emit {|{"ev":"pfence","tid":%d,"site":"%s","clock":%.1f}|} tid
-        (escape site) (clk ())
+        (Json.escape site) (clk ())
   | Pmem.Psync { tid; site } ->
       emit {|{"ev":"psync","tid":%d,"site":"%s","clock":%.1f}|} tid
-        (escape site) (clk ())
+        (Json.escape site) (clk ())
   | Pmem.Alloc { tid; heap; line; site } ->
       emit
         {|{"ev":"alloc","tid":%d,"heap":"%s","line":"%s","site":"%s","clock":%.1f}|}
-        tid (escape heap) (escape line) (escape site) (clk ())
+        tid (Json.escape heap) (Json.escape line) (Json.escape site) (clk ())
 
 let stop () =
   match get_sink () with
@@ -93,19 +78,15 @@ let stop () =
       flush oc;
       if oc != stdout && oc != stderr then close_out_noerr oc
 
-let start_channel oc =
-  stop ();
-  set_sink (Some oc);
-  Sim.set_tracer (Some on_sim_event);
-  Pmem.set_tracer (Some on_pmem_event)
-
 (* Stop the previous trace (if any) *before* opening the new file: the
    old order opened first, so restarting into the same path truncated the
    file while the outgoing channel still held buffered events, and the
    final flush-on-close then clobbered the fresh trace. *)
 let start path =
   stop ();
-  start_channel (open_out path)
+  set_sink (Some (open_out path));
+  Sim.set_tracer (Some on_sim_event);
+  Pmem.set_tracer (Some on_pmem_event)
 
 let with_file path f =
   start path;
@@ -118,7 +99,7 @@ let round ~kind n =
     emit {|{"ev":"round","n":%d,"kind":"%s"}|} n
       (match kind with `Work -> "work" | `Recover -> "recover")
 
-let note msg = if active () then emit {|{"ev":"note","msg":"%s"}|} (escape msg)
+let note msg = if active () then emit {|{"ev":"note","msg":"%s"}|} (Json.escape msg)
 
 (* Per-shard windowed time-series of a serve run (emitted by Store once
    the SLO report is built; the Perfetto converter turns these into
@@ -128,16 +109,14 @@ let win ~sid ~index ~start_ns ~end_ns ~completions ~mops ~lat_mean_ns =
     emit
       {|{"ev":"win","sid":%d,"index":%d,"start":%.1f,"end":%.1f,"completions":%d,"mops":%.6f,"lat_mean":%s}|}
       sid index start_ns end_ns completions mops
-      (match lat_mean_ns with
-      | None -> "null"
-      | Some ns -> Printf.sprintf "%.1f" ns)
+      (Json.num "%.1f" lat_mean_ns)
 
 (* ---- operation spans (emitted by Harness.Metrics) --------------------- *)
 
 let op_begin ~tid ~kind ~key ~clock =
   if active () then
     emit {|{"ev":"op_begin","tid":%d,"kind":"%s","key":%d,"clock":%.1f}|} tid
-      (escape kind) key clock
+      (Json.escape kind) key clock
 
 let op_end ~tid ~ok ~cas_failures ~helped ~clock =
   if active () then

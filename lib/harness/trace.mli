@@ -32,8 +32,6 @@ val active : unit -> bool
 val start : string -> unit
 (** Open [path] (truncating) and trace into it until {!stop}. *)
 
-val start_channel : out_channel -> unit
-
 val stop : unit -> unit
 (** Uninstall hooks and close the sink ([stdout]/[stderr] are left open).
     Idempotent. *)

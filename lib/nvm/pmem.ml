@@ -385,7 +385,6 @@ let new_line ?(name = "line") h =
 
 let line_name l = l.lname
 let line_id l = l.lid
-let line_site l = l.lsite
 
 let on_line line v =
   let fld = { line; v; durable = Never; poisoned = false } in
@@ -810,12 +809,32 @@ let victim_resolver_deterministic choice ~fate =
             end
             else fate e false
 
+let resolution_to_string = function
+  | `Rng -> "rng"
+  | `Drop -> "drop"
+  | `All -> "all"
+  | `Prefix k -> Printf.sprintf "prefix:%d" k
+
+let resolution_of_string = function
+  | "rng" -> Ok `Rng
+  | "drop" -> Ok `Drop
+  | "all" -> Ok `All
+  | s -> (
+      let bad () = Error (Printf.sprintf "bad write-back resolution %S" s) in
+      match String.index_opt s ':' with
+      | Some i when String.sub s 0 i = "prefix" -> (
+          match
+            int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1))
+          with
+          | Some k when k >= 1 -> Ok (`Prefix k)
+          | _ -> bad ())
+      | _ -> bad ())
+
 let resolution_label ?rng ?resolution () =
-  match resolution with
-  | Some `Drop -> "drop"
-  | Some `All -> "all"
-  | Some (`Prefix k) -> Printf.sprintf "prefix:%d" k
-  | None -> ( match rng with Some _ -> "rng" | None -> "drop")
+  match (resolution, rng) with
+  | Some r, _ -> resolution_to_string r
+  | None, Some _ -> "rng"
+  | None, None -> "drop"
 
 let crash ?rng ?resolution ?(scope = `Machine) h =
   let inst = instance () in

@@ -210,6 +210,15 @@ val heap : ?track_for_crash:bool -> ?name:string -> unit -> heap
     {!crash} can restore it; disable for long throughput runs that never
     crash, to avoid unbounded growth. *)
 
+val resolution_to_string : [< `Rng | `Drop | `All | `Prefix of int ] -> string
+(** The one spelling of a write-back resolution — ["rng"] (the seeded
+    harness rng draws the surviving subset), ["drop"], ["all"] or
+    ["prefix:k"] — shared by crash reports, replay files and the CLI. *)
+
+val resolution_of_string :
+  string -> ([ `Rng | `Drop | `All | `Prefix of int ], string) result
+(** Inverse of {!resolution_to_string}; [prefix:k] needs [k >= 1]. *)
+
 val crash :
   ?rng:Random.State.t ->
   ?resolution:[ `Drop | `All | `Prefix of int ] ->
@@ -264,9 +273,6 @@ val line_id : line -> int
 (** Per-heap allocation index (1-based): line names recur (two nodes for
     key 5 are both ["node:5"]), ids never do, so [(heap, id)] identifies
     an allocation exactly — the key of the space registry. *)
-
-val line_site : line -> string
-(** {!site_of_name} of the line's name, computed once at allocation. *)
 
 type 'a t
 (** A field of type ['a] residing on some line. *)

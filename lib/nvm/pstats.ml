@@ -41,9 +41,9 @@ let sites () = locked (fun () -> List.rev !ordered)
 (* Everything mutable — enabled flags, cost multipliers, execution counts,
    charged time — lives in flat per-domain arrays indexed by site id:
    concurrent campaigns on separate domains enable/scale/count without
-   observing each other, and the hot recording paths ({!record},
-   {!add_time}, the {!enabled} check on every pwb) are single unboxed
-   array accesses instead of record-field chases. *)
+   observing each other, and the hot recording paths (the [d_*]
+   accessors at the end of this file) are single unboxed array
+   accesses instead of record-field chases. *)
 type stats = {
   mutable cap : int;
   mutable enabled : bool array;
@@ -136,28 +136,7 @@ let all_multipliers_default () =
 let set_kind_enabled k b =
   List.iter (fun s -> if s.kind = k then (stx s.id).enabled.(s.id) <- b) (sites ())
 
-let record s cat =
-  let st = stx s.id in
-  match cat with
-  | Low -> st.n_low.(s.id) <- st.n_low.(s.id) + 1
-  | Medium -> st.n_medium.(s.id) <- st.n_medium.(s.id) + 1
-  | High -> st.n_high.(s.id) <- st.n_high.(s.id) + 1
-
-let record_fence s =
-  let st = stx s.id in
-  st.n_fence.(s.id) <- st.n_fence.(s.id) + 1
-
-let add_time s ns =
-  let st = stx s.id in
-  st.t_ns.(s.id) <- st.t_ns.(s.id) +. ns
-
 let site_time s = (stx s.id).t_ns.(s.id)
-
-(* Per-category charged time (pwbs only), for the causal profiler's
-   category rows. *)
-let add_category_time c ns =
-  let a = (Domain.DLS.get dls).cat_time in
-  a.(cat_index c) <- a.(cat_index c) +. ns
 
 let category_time c = (Domain.DLS.get dls).cat_time.(cat_index c)
 
@@ -216,13 +195,6 @@ let classify s =
     else if m >= l then Some Medium
     else Some Low
   end
-
-let set_category_enabled ~classification cat b =
-  List.iter
-    (fun s ->
-      if s.kind = Pwb && classification s = Some cat then
-        (stx s.id).enabled.(s.id) <- b)
-    (sites ())
 
 let site_counts s =
   let st = stx s.id in

@@ -38,10 +38,6 @@ val set_all_enabled : bool -> unit
 val set_kind_enabled : kind -> bool -> unit
 (** Enable/disable every site of a kind (e.g. all psyncs, as in Figs 3c/4c). *)
 
-val set_category_enabled : classification:(site -> category option) -> category -> bool -> unit
-(** Enable/disable all pwb sites whose classification matches, as in the
-    category-removal experiments (Figs 3f/4f/5/6). *)
-
 val cost_mult : site -> float
 (** The site's causal-profiler cost multiplier (default [1.0]): {!Pmem}
     multiplies everything the instruction would charge (and, for pwbs,
@@ -70,22 +66,9 @@ val all_multipliers_default : unit -> bool
 (** [true] iff every site and category multiplier is [1.0] — the
     leak-check used by tests and by sweep teardowns. *)
 
-val record : site -> category -> unit
-(** Count one executed pwb at [site] with its observed impact category. *)
-
-val record_fence : site -> unit
-(** Count one executed pfence or psync. *)
-
-val add_time : site -> float -> unit
-(** Account [ns] of charged virtual time to the site (called by {!Pmem}
-    with the actually-charged, i.e. multiplier-scaled, cost). *)
-
 val site_time : site -> float
 (** Virtual ns charged at this site since the last {!reset} — the
     numerator of the causal profiler's "share of persistence time". *)
-
-val add_category_time : category -> float -> unit
-(** Account charged pwb time to its per-execution impact class. *)
 
 val category_time : category -> float
 (** Virtual ns charged to pwbs of this emergent impact class since the
@@ -131,10 +114,10 @@ val pp_category : Format.formatter -> category -> unit
 (** {2 Hot-path accessors}
 
     {!Pmem.pwb} consults this module up to six times per executed pwb
-    (enabled, record, two multipliers, two time accounts), and each
-    module-level accessor above pays one domain-local fetch.  A {!dstats}
+    (enabled, record, two multipliers, two time accounts).  A {!dstats}
     is the calling domain's statistics fetched {e once}; the [d_]*
-    variants below are then plain array accesses.  Same contract as
+    accessors below — the only way executions are recorded — are then
+    plain array accesses.  Same contract as
     {!Sim.handle}: fetch at the top of an operation, never store one or
     move it across domains. *)
 

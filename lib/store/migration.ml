@@ -137,7 +137,6 @@ let create ~table ~(src : Shard.t) ~(dst : Shard.t) ~key_range ~poll_ns
     broken;
   }
 
-let plan_size t = Array.length t.plan
 let finished t = t.done_
 
 (* The routing table's [moved] predicate and the source guard's

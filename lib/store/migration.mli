@@ -44,7 +44,6 @@ val create :
     variant whose commit reverts on a destination crash (negative
     control; the store-level conservation oracle must catch it). *)
 
-val plan_size : t -> int
 val finished : t -> bool
 
 val moved_key : t -> int -> bool

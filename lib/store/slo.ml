@@ -385,10 +385,7 @@ let to_json r =
   f "\"retried\":%d,\"recovered\":%d," r.retried r.recovered;
   f "\"makespan_ns\":%.1f,\"throughput_mops\":%.6f," r.makespan_ns
     r.throughput_mops;
-  let lat = function
-    | None -> "null"
-    | Some ns -> Printf.sprintf "%.1f" ns
-  in
+  let lat = Json.num "%.1f" in
   f "\"latency_ns\":{\"mean\":%s,\"p50\":%s,\"p90\":%s,\"p99\":%s}," (lat r.lat_mean_ns)
     (lat r.lat_p50_ns) (lat r.lat_p90_ns) (lat r.lat_p99_ns);
   (match r.degraded with
@@ -409,8 +406,8 @@ let to_json r =
       in
       f
         "{\"sid\":%d,\"backend\":\"%s\",\"served\":%d,\"keys\":%d,\"crashes\":%d,\"retried\":%d,\"recovered\":%d,\"deferred\":%d,\"forwarded\":%d,\"max_queue\":%d,\"heap_lines\":%d,\"recovery_ns\":[%s],\"promotions\":%d,\"failover_ns\":[%s],\"resync_ns\":[%s]}"
-        s.ss_sid s.ss_backend s.ss_served s.ss_keys s.ss_crashes s.ss_retried
-        s.ss_recovered s.ss_deferred s.ss_forwarded s.ss_max_queue
+        s.ss_sid (Json.escape s.ss_backend) s.ss_served s.ss_keys s.ss_crashes
+        s.ss_retried s.ss_recovered s.ss_deferred s.ss_forwarded s.ss_max_queue
         s.ss_heap_lines (ns_list s.ss_recovery_ns) s.ss_promotions
         (ns_list s.ss_failover_ns) (ns_list s.ss_resync_ns))
     r.shards;
@@ -421,9 +418,7 @@ let to_json r =
       f
         "{\"index\":%d,\"start_ns\":%.1f,\"end_ns\":%.1f,\"sid\":%d,\"completions\":%d,\"mops\":%.6f,\"lat_mean_ns\":%s}"
         w.w_index w.w_start_ns w.w_end_ns w.w_sid w.w_completions w.w_mops
-        (match w.w_lat_mean_ns with
-        | None -> "null"
-        | Some ns -> Printf.sprintf "%.1f" ns))
+        (lat w.w_lat_mean_ns))
     r.windows;
   f "],\"divergences\":%d}" r.divergences;
   Buffer.contents b

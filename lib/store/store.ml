@@ -540,12 +540,6 @@ type explore_stats = {
   ex_first_cex : (config * int array * string) option;
 }
 
-let wb_label = function
-  | `Rng -> "rng"
-  | `Drop -> "drop"
-  | `All -> "all"
-  | `Prefix n -> Printf.sprintf "prefix:%d" n
-
 let default_wb_pairs =
   [ (`Drop, `Drop); (`All, `All); (`Drop, `All); (`All, `Drop);
     (`Prefix 1, `Prefix 1) ]
@@ -603,9 +597,10 @@ let explore ?(wbs = [ `Drop; `All; `Prefix 1; `Prefix 2 ])
           | Both _ -> List.map (fun (w1, w2) -> (w1, Some w2)) wb_pairs
         in
         let arm_label (wb, wb2) =
+          let label = Pmem.resolution_to_string in
           match wb2 with
-          | None -> wb_label wb
-          | Some w2 -> wb_label wb ^ "+" ^ wb_label w2
+          | None -> label wb
+          | Some w2 -> label wb ^ "+" ^ label w2
         in
         let max_dispatch = ref 0 in
         let k = ref 1 in

@@ -87,9 +87,6 @@ val run :
     expose [Sim.run]'s schedule recording/replay for serve repro files
     ({!Store_repro}); replay divergences are counted in the report. *)
 
-val wb_label : [ `Rng | `Drop | `All | `Prefix of int ] -> string
-(** Stable CLI/repro label: ["rng"], ["drop"], ["all"], ["prefix:<k>"]. *)
-
 type victim_spec = Single of int | Both of int * int
 
 val spec_label : victim_spec -> string

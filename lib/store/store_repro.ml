@@ -67,80 +67,57 @@ let of_config (cfg : Store.config) ~error ~schedule =
   }
 
 let config_of r =
-  match Set_intf.by_name r.algo with
-  | Error msg -> Error (Printf.sprintf "serve repro references %s" msg)
-  | Ok factory -> (
-      match Workload.mix_of_find_pct r.find_pct with
-      | exception Invalid_argument _ ->
-          Error (Printf.sprintf "serve repro has invalid find-pct %d" r.find_pct)
-      | mix -> (
-          match
-            match r.skew with
-            | None -> Ok Workload.Uniform
-            | Some s -> (
-                match Workload.skewed s with
-                | d -> Ok d
-                | exception Invalid_argument m -> Error m)
-          with
-          | Error m -> Error m
-          | Ok dist -> (
-              let backends =
-                match r.backends with
-                | None -> Ok None
-                | Some names ->
-                    let rec resolve acc = function
-                      | [] -> Ok (Some (Array.of_list (List.rev acc)))
-                      | n :: rest -> (
-                          match Set_intf.by_name n with
-                          | Error msg ->
-                              Error
-                                (Printf.sprintf "serve repro references %s" msg)
-                          | Ok f -> resolve (f :: acc) rest)
-                    in
-                    resolve [] names
-              in
-              match backends with
-              | Error _ as e -> e
-              | Ok backends ->
-                  Ok
-                    {
-                      Store.factory;
-                      backends;
-                      shards = r.shards;
-                      clients = r.clients;
-                      ops_per_client = r.ops_per_client;
-                      batch = r.batch;
-                      workload =
-                        {
-                          Workload.mix;
-                          key_range = r.key_range;
-                          prefill_n = r.prefill;
-                          dist;
-                        };
-                      open_loop_ns = r.open_loop_ns;
-                      crash = r.crash;
-                      wb = r.wb;
-                      wb2 = r.wb2;
-                      restart_ns = r.restart_ns;
-                      failover_ns = r.failover_ns;
-                      replicate = r.replicate;
-                      migrate = r.migrate;
-                      seed = r.seed;
-                    })))
+  let ( let* ) = Result.bind in
+  let resolve name =
+    Result.map_error (Printf.sprintf "serve repro references %s")
+      (Set_intf.by_name name)
+  in
+  let* factory = resolve r.algo in
+  let* mix =
+    match Workload.mix_of_find_pct r.find_pct with
+    | mix -> Ok mix
+    | exception Invalid_argument _ ->
+        Error (Printf.sprintf "serve repro has invalid find-pct %d" r.find_pct)
+  in
+  let* dist =
+    match r.skew with
+    | None -> Ok Workload.Uniform
+    | Some s -> (
+        try Ok (Workload.skewed s) with Invalid_argument m -> Error m)
+  in
+  let* backends =
+    match r.backends with
+    | None -> Ok None
+    | Some names ->
+        List.fold_right
+          (fun n acc ->
+            let* f = resolve n in
+            Result.map (List.cons f) acc)
+          names (Ok [])
+        |> Result.map (fun fs -> Some (Array.of_list fs))
+  in
+  Ok
+    {
+      Store.factory;
+      backends;
+      shards = r.shards;
+      clients = r.clients;
+      ops_per_client = r.ops_per_client;
+      batch = r.batch;
+      workload =
+        { Workload.mix; key_range = r.key_range; prefill_n = r.prefill; dist };
+      open_loop_ns = r.open_loop_ns;
+      crash = r.crash;
+      wb = r.wb;
+      wb2 = r.wb2;
+      restart_ns = r.restart_ns;
+      failover_ns = r.failover_ns;
+      replicate = r.replicate;
+      migrate = r.migrate;
+      seed = r.seed;
+    }
 
 (* ---- rendering --------------------------------------------------------- *)
-
-let one_line s = String.map (function '\n' | '\r' -> ' ' | c -> c) s
-
-let schedule_string sched =
-  if Array.length sched = 0 then "-"
-  else String.concat "," (Array.to_list (Array.map string_of_int sched))
-
-let wb_string = function
-  | `Rng -> "rng"
-  | `Drop -> "drop"
-  | `All -> "all"
-  | `Prefix k -> Printf.sprintf "prefix:%d" k
 
 let crash_string = function
   | None -> "none"
@@ -154,98 +131,66 @@ let crash_string = function
       Printf.sprintf "cascade %d %d %d" first second dispatch
 
 let pp ppf r =
-  Format.fprintf ppf "%s@." magic;
-  Format.fprintf ppf "algo %s@." r.algo;
-  Format.fprintf ppf "shards %d@." r.shards;
-  Format.fprintf ppf "clients %d@." r.clients;
-  Format.fprintf ppf "ops-per-client %d@." r.ops_per_client;
-  Format.fprintf ppf "batch %d@." r.batch;
-  Format.fprintf ppf "find-pct %d@." r.find_pct;
-  Format.fprintf ppf "key-range %d@." r.key_range;
-  Format.fprintf ppf "prefill %d@." r.prefill;
-  (match r.skew with
-  | None -> Format.fprintf ppf "dist uniform@."
-  | Some s -> Format.fprintf ppf "dist skew:%g@." s);
-  (match r.open_loop_ns with
-  | None -> Format.fprintf ppf "open-loop-ns -@."
-  | Some m -> Format.fprintf ppf "open-loop-ns %g@." m);
-  Format.fprintf ppf "crash %s@." (crash_string r.crash);
-  Format.fprintf ppf "wb %s@." (wb_string r.wb);
-  (match r.wb2 with
-  | None -> Format.fprintf ppf "wb2 -@."
-  | Some wb2 -> Format.fprintf ppf "wb2 %s@." (wb_string wb2));
-  (match r.backends with
-  | None -> Format.fprintf ppf "backends -@."
-  | Some names -> Format.fprintf ppf "backends %s@." (String.concat "," names));
-  Format.fprintf ppf "replicate %d@." (if r.replicate then 1 else 0);
-  Format.fprintf ppf "failover-ns %g@." r.failover_ns;
-  (match r.migrate with
-  | None -> Format.fprintf ppf "migrate none@."
-  | Some { Store.msrc; m_after; m_broken } ->
-      Format.fprintf ppf "migrate %d %d %d@." msrc m_after
-        (if m_broken then 1 else 0));
-  Format.fprintf ppf "restart-ns %g@." r.restart_ns;
-  Format.fprintf ppf "seed %d@." r.seed;
-  Format.fprintf ppf "error %s@." (one_line r.error);
-  Format.fprintf ppf "schedule %s@." (schedule_string r.schedule)
+  let opt f = function None -> "-" | Some v -> f v in
+  Repro_file.pp ~magic ppf
+    [
+      ("algo", r.algo);
+      ("shards", string_of_int r.shards);
+      ("clients", string_of_int r.clients);
+      ("ops-per-client", string_of_int r.ops_per_client);
+      ("batch", string_of_int r.batch);
+      ("find-pct", string_of_int r.find_pct);
+      ("key-range", string_of_int r.key_range);
+      ("prefill", string_of_int r.prefill);
+      ( "dist",
+        match r.skew with
+        | None -> "uniform"
+        | Some s -> Printf.sprintf "skew:%g" s );
+      ("open-loop-ns", opt (Printf.sprintf "%g") r.open_loop_ns);
+      ("crash", crash_string r.crash);
+      ("wb", Pmem.resolution_to_string r.wb);
+      ("wb2", opt Pmem.resolution_to_string r.wb2);
+      ("backends", opt (String.concat ",") r.backends);
+      ("replicate", if r.replicate then "1" else "0");
+      ("failover-ns", Printf.sprintf "%g" r.failover_ns);
+      ( "migrate",
+        match r.migrate with
+        | None -> "none"
+        | Some { Store.msrc; m_after; m_broken } ->
+            Printf.sprintf "%d %d %d" msrc m_after (if m_broken then 1 else 0) );
+      ("restart-ns", Printf.sprintf "%g" r.restart_ns);
+      ("seed", string_of_int r.seed);
+      ("error", r.error);
+      ("schedule", Repro_file.schedule_to_string r.schedule);
+    ]
 
-let save path r =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      let ppf = Format.formatter_of_out_channel oc in
-      pp ppf r;
-      Format.pp_print_flush ppf ())
+let save path r = Repro_file.save pp path r
 
 (* ---- parsing ----------------------------------------------------------- *)
-
-let parse_schedule = function
-  | "-" | "" -> Ok [||]
-  | s -> (
-      let parts = String.split_on_char ',' s in
-      try Ok (Array.of_list (List.map int_of_string parts))
-      with Failure _ -> Error (Printf.sprintf "bad schedule %S" s))
-
-let parse_wb = function
-  | "rng" -> Ok `Rng
-  | "drop" -> Ok `Drop
-  | "all" -> Ok `All
-  | s -> (
-      match String.index_opt s ':' with
-      | Some i when String.sub s 0 i = "prefix" -> (
-          match
-            int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1))
-          with
-          | Some k when k >= 1 -> Ok (`Prefix k)
-          | _ -> Error (Printf.sprintf "bad write-back resolution %S" s))
-      | _ -> Error (Printf.sprintf "bad write-back resolution %S" s))
 
 let parse_crash = function
   | "none" -> Ok None
   | s -> (
+      let ints l = List.map int_of_string_opt l in
       match String.split_on_char ' ' s with
-      | [ "after"; v; n ] -> (
-          match (int_of_string_opt v, int_of_string_opt n) with
-          | Some victim, Some requests ->
+      | "after" :: args -> (
+          match ints args with
+          | [ Some victim; Some requests ] ->
               Ok (Some (Store.After_requests { victim; requests }))
           | _ -> Error (Printf.sprintf "bad crash plan %S" s))
-      | [ "dispatch"; v; k ] -> (
-          match (int_of_string_opt v, int_of_string_opt k) with
-          | Some victim, Some dispatch ->
+      | "dispatch" :: args -> (
+          match ints args with
+          | [ Some victim; Some dispatch ] ->
               Ok (Some (Store.At_dispatch { victim; dispatch }))
           | _ -> Error (Printf.sprintf "bad crash plan %S" s))
-      | [ "both"; a; b; k ] -> (
-          match (int_of_string_opt a, int_of_string_opt b, int_of_string_opt k)
-          with
-          | Some a, Some b, Some dispatch ->
+      | "both" :: args -> (
+          match ints args with
+          | [ Some a; Some b; Some dispatch ] ->
               Ok (Some (Store.Both_at_dispatch { a; b; dispatch }))
           | _ -> Error (Printf.sprintf "bad crash plan %S" s))
-      | [ "cascade"; f; snd; k ] -> (
-          match
-            (int_of_string_opt f, int_of_string_opt snd, int_of_string_opt k)
-          with
-          | Some first, Some second, Some dispatch ->
+      | "cascade" :: args -> (
+          match ints args with
+          | [ Some first; Some second; Some dispatch ] ->
               Ok (Some (Store.Cascade { first; second; dispatch }))
           | _ -> Error (Printf.sprintf "bad crash plan %S" s))
       | _ -> Error (Printf.sprintf "bad crash plan %S" s))
@@ -253,15 +198,9 @@ let parse_crash = function
 let parse_migrate = function
   | "none" -> Ok None
   | s -> (
-      match String.split_on_char ' ' s with
-      | [ src; after; broken ] -> (
-          match
-            (int_of_string_opt src, int_of_string_opt after,
-             int_of_string_opt broken)
-          with
-          | Some msrc, Some m_after, Some b when b = 0 || b = 1 ->
-              Ok (Some { Store.msrc; m_after; m_broken = b = 1 })
-          | _ -> Error (Printf.sprintf "bad migrate plan %S" s))
+      match List.map int_of_string_opt (String.split_on_char ' ' s) with
+      | [ Some msrc; Some m_after; Some b ] when b = 0 || b = 1 ->
+          Ok (Some { Store.msrc; m_after; m_broken = b = 1 })
       | _ -> Error (Printf.sprintf "bad migrate plan %S" s))
 
 let parse_dist = function
@@ -276,222 +215,129 @@ let parse_dist = function
           | None -> Error (Printf.sprintf "bad dist %S" s))
       | _ -> Error (Printf.sprintf "bad dist %S" s))
 
+(* ["-"] is the absent value of the optional fields *)
+let parse_opt parse = function
+  | "-" -> Ok None
+  | v -> Result.map Option.some (parse v)
+
+let fields =
+  let parsed key parse set =
+    Repro_file.field key (fun r v -> Result.map (set r) (parse v))
+  in
+  Repro_file.
+    [
+      text "algo" (fun r algo -> { r with algo });
+      int "shards" (fun r shards -> { r with shards });
+      int "clients" (fun r clients -> { r with clients });
+      int "ops-per-client" (fun r ops_per_client -> { r with ops_per_client });
+      int "batch" (fun r batch -> { r with batch });
+      int "find-pct" (fun r find_pct -> { r with find_pct });
+      int "key-range" (fun r key_range -> { r with key_range });
+      int "prefill" (fun r prefill -> { r with prefill });
+      parsed "dist" parse_dist (fun r skew -> { r with skew });
+      parsed "open-loop-ns"
+        (parse_opt (fun v ->
+             match float_of_string_opt v with
+             | Some m when m > 0. -> Ok m
+             | _ -> Error (Printf.sprintf "bad open-loop-ns %S" v)))
+        (fun r open_loop_ns -> { r with open_loop_ns });
+      parsed "crash" parse_crash (fun r crash -> { r with crash });
+      parsed "wb" Pmem.resolution_of_string (fun r wb -> { r with wb });
+      parsed "wb2" (parse_opt Pmem.resolution_of_string) (fun r wb2 ->
+          { r with wb2 });
+      parsed "backends"
+        (parse_opt (fun v -> Ok (String.split_on_char ',' v)))
+        (fun r backends -> { r with backends });
+      parsed "replicate"
+        (function
+          | "0" -> Ok false
+          | "1" -> Ok true
+          | v -> Error (Printf.sprintf "bad replicate %S" v))
+        (fun r replicate -> { r with replicate });
+      float "failover-ns" (fun r failover_ns -> { r with failover_ns });
+      parsed "migrate" parse_migrate (fun r migrate -> { r with migrate });
+      float "restart-ns" (fun r restart_ns -> { r with restart_ns });
+      int "seed" (fun r seed -> { r with seed });
+      text "error" (fun r error -> { r with error });
+      parsed "schedule" Repro_file.schedule_of_string (fun r schedule ->
+          { r with schedule });
+    ]
+
+(* Unset required fields hold out-of-range sentinels so validation can
+   name them; the elastic fields default here, so pre-elastic files
+   parse unchanged. *)
+let empty =
+  {
+    algo = "";
+    shards = 0;
+    clients = 0;
+    ops_per_client = 0;
+    batch = 0;
+    find_pct = -1;
+    key_range = 0;
+    prefill = -1;
+    skew = None;
+    open_loop_ns = None;
+    crash = None;
+    wb = `Rng;
+    wb2 = None;
+    backends = None;
+    replicate = false;
+    failover_ns = 500.;
+    migrate = None;
+    restart_ns = -1.;
+    seed = 0;
+    error = "";
+    schedule = [||];
+  }
+
 let load path =
-  match In_channel.with_open_text path In_channel.input_lines with
-  | exception Sys_error msg -> Error msg
-  | [] -> Error "empty serve repro file"
-  | first :: _ when first <> magic ->
-      Error (Printf.sprintf "not a serve repro file (expected %S)" magic)
-  | _ :: lines -> (
-      let r =
-        ref
-          {
-            algo = "";
-            shards = 0;
-            clients = 0;
-            ops_per_client = 0;
-            batch = 0;
-            find_pct = -1;
-            key_range = 0;
-            prefill = -1;
-            skew = None;
-            open_loop_ns = None;
-            crash = None;
-            wb = `Rng;
-            (* elastic fields default here, so pre-elastic files parse *)
-            wb2 = None;
-            backends = None;
-            replicate = false;
-            failover_ns = 500.;
-            migrate = None;
-            restart_ns = -1.;
-            seed = 0;
-            error = "";
-            schedule = [||];
-          }
-      in
-      let err = ref None in
-      let fail msg = if !err = None then err := Some msg in
-      let seen = ref [] in
-      let once key =
-        if List.mem key !seen then fail (Printf.sprintf "duplicate field %S" key)
-        else seen := key :: !seen
-      in
-      let int_field key set v =
-        once key;
-        match int_of_string_opt v with
-        | Some n -> r := set !r n
-        | None -> fail (Printf.sprintf "bad integer %S" v)
-      in
-      let float_field key set v =
-        once key;
-        match float_of_string_opt v with
-        | Some x -> r := set !r x
-        | None -> fail (Printf.sprintf "bad number %S" v)
-      in
-      List.iter
-        (fun line ->
-          let line = String.trim line in
-          if line <> "" then
-            let key, value =
-              match String.index_opt line ' ' with
-              | None -> (line, "")
-              | Some i ->
-                  ( String.sub line 0 i,
-                    String.sub line (i + 1) (String.length line - i - 1) )
-            in
-            match key with
-            | "algo" ->
-                once key;
-                r := { !r with algo = value }
-            | "shards" -> int_field key (fun r n -> { r with shards = n }) value
-            | "clients" -> int_field key (fun r n -> { r with clients = n }) value
-            | "ops-per-client" ->
-                int_field key (fun r n -> { r with ops_per_client = n }) value
-            | "batch" -> int_field key (fun r n -> { r with batch = n }) value
-            | "find-pct" ->
-                int_field key (fun r n -> { r with find_pct = n }) value
-            | "key-range" ->
-                int_field key (fun r n -> { r with key_range = n }) value
-            | "prefill" -> int_field key (fun r n -> { r with prefill = n }) value
-            | "dist" -> (
-                once key;
-                match parse_dist value with
-                | Ok skew -> r := { !r with skew }
-                | Error e -> fail e)
-            | "open-loop-ns" -> (
-                once key;
-                if value = "-" then r := { !r with open_loop_ns = None }
-                else
-                  match float_of_string_opt value with
-                  | Some m when m > 0. -> r := { !r with open_loop_ns = Some m }
-                  | _ -> fail (Printf.sprintf "bad open-loop-ns %S" value))
-            | "crash" -> (
-                once key;
-                match parse_crash value with
-                | Ok crash -> r := { !r with crash }
-                | Error e -> fail e)
-            | "wb" -> (
-                once key;
-                match parse_wb value with
-                | Ok wb -> r := { !r with wb }
-                | Error e -> fail e)
-            | "wb2" -> (
-                once key;
-                if value = "-" then r := { !r with wb2 = None }
-                else
-                  match parse_wb value with
-                  | Ok wb2 -> r := { !r with wb2 = Some wb2 }
-                  | Error e -> fail e)
-            | "backends" ->
-                once key;
-                if value = "-" then r := { !r with backends = None }
-                else
-                  r :=
-                    { !r with backends = Some (String.split_on_char ',' value) }
-            | "replicate" -> (
-                once key;
-                match value with
-                | "0" -> r := { !r with replicate = false }
-                | "1" -> r := { !r with replicate = true }
-                | _ -> fail (Printf.sprintf "bad replicate %S" value))
-            | "failover-ns" ->
-                float_field key (fun r x -> { r with failover_ns = x }) value
-            | "migrate" -> (
-                once key;
-                match parse_migrate value with
-                | Ok migrate -> r := { !r with migrate }
-                | Error e -> fail e)
-            | "restart-ns" ->
-                float_field key (fun r x -> { r with restart_ns = x }) value
-            | "seed" -> int_field key (fun r n -> { r with seed = n }) value
-            | "error" ->
-                once key;
-                r := { !r with error = value }
-            | "schedule" -> (
-                once key;
-                match parse_schedule value with
-                | Ok schedule -> r := { !r with schedule }
-                | Error e -> fail e)
-            | k -> fail (Printf.sprintf "unknown field %S" k))
-        lines;
-      match !err with
-      | Some e -> Error e
-      | None ->
-          let r = !r in
-          if r.algo = "" then Error "missing algo field"
-          else if r.shards <= 0 then Error "missing/invalid shards field"
-          else if r.clients <= 0 then Error "missing/invalid clients field"
-          else if r.ops_per_client <= 0 then
-            Error "missing/invalid ops-per-client field"
-          else if r.batch <= 0 then Error "missing/invalid batch field"
-          else if r.find_pct < 0 || r.find_pct > 100 then
-            Error "missing/invalid find-pct field"
-          else if r.key_range <= 0 then Error "missing/invalid key-range field"
-          else if r.prefill < 0 then Error "missing/invalid prefill field"
-          else if r.restart_ns < 0. then
-            Error "missing/invalid restart-ns field"
-          else if r.failover_ns < 0. then Error "invalid failover-ns field"
-          else Ok r)
+  match Repro_file.load ~what:"serve repro" ~magic fields empty path with
+  | Error _ as e -> e
+  | Ok r ->
+      if r.algo = "" then Error "missing algo field"
+      else if r.shards <= 0 then Error "missing/invalid shards field"
+      else if r.clients <= 0 then Error "missing/invalid clients field"
+      else if r.ops_per_client <= 0 then
+        Error "missing/invalid ops-per-client field"
+      else if r.batch <= 0 then Error "missing/invalid batch field"
+      else if r.find_pct < 0 || r.find_pct > 100 then
+        Error "missing/invalid find-pct field"
+      else if r.key_range <= 0 then Error "missing/invalid key-range field"
+      else if r.prefill < 0 then Error "missing/invalid prefill field"
+      else if r.restart_ns < 0. then Error "missing/invalid restart-ns field"
+      else if r.failover_ns < 0. then Error "invalid failover-ns field"
+      else Ok r
 
 (* ---- replay ------------------------------------------------------------ *)
+
+(* Re-run the recorded serve under its schedule.  A diverged schedule
+   means the run was not the recorded execution; lost requests are the
+   failure a serve records. *)
+let rerun r cfg =
+  match Store.run ~schedule:r.schedule cfg with
+  | Ok report when report.Slo.divergences > 0 ->
+      `Diverged
+        (Printf.sprintf
+           "schedule divergence (%d entries not honored): the replay executed \
+            a different interleaving"
+           report.Slo.divergences)
+  | Ok report when report.Slo.lost > 0 ->
+      `Failed (Printf.sprintf "%d lost requests" report.Slo.lost)
+  | Ok _ -> `Passed
+  | Error error -> `Failed error
 
 let replay r =
   match config_of r with
   | Error _ as e -> e
   | Ok cfg -> (
-      let result = Store.run ~schedule:r.schedule cfg in
-      match result with
-      | Ok report when report.Slo.divergences > 0 ->
-          Error
-            (Printf.sprintf
-               "schedule divergence (%d entries not honored): the replay \
-                executed a different interleaving"
-               report.Slo.divergences)
-      | Ok report when report.Slo.lost > 0 ->
-          Error (Printf.sprintf "%d lost requests" report.Slo.lost)
-      | Ok _ -> Ok ()
-      | Error _ as e -> e)
+      match rerun r cfg with
+      | `Passed -> Ok ()
+      | `Diverged msg | `Failed msg -> Error msg)
 
-(* ---- forensic explain -------------------------------------------------- *)
-
-(* Like [replay], but under the Forensics recorder, returning the
-   postmortem of the recorded failure.  The same faithfulness rules
-   apply: a diverged schedule, a passing replay or a different failure
-   message all refuse to produce a postmortem — it must describe the
-   recorded execution. *)
 let explain r =
   match config_of r with
-  | Error e -> Error e
+  | Error _ as e -> e
   | Ok cfg ->
-      Forensics.start ();
-      Fun.protect ~finally:Forensics.stop (fun () ->
-          let result = Store.run ~schedule:r.schedule cfg in
-          match result with
-          | Ok report when report.Slo.divergences > 0 ->
-              Error
-                (Printf.sprintf
-                   "schedule divergence (%d entries not honored): the replay \
-                    executed a different interleaving"
-                   report.Slo.divergences)
-          | Ok report when report.Slo.lost > 0 ->
-              let error = Printf.sprintf "%d lost requests" report.Slo.lost in
-              if String.equal error r.error then
-                Ok (Forensics.build ~algo:r.algo ~seed:r.seed ~error)
-              else
-                Error
-                  (Printf.sprintf
-                     "replay failed differently: recorded %S, replay produced \
-                      %S"
-                     r.error error)
-          | Ok _ ->
-              Error "the repro did not fail on replay — nothing to explain"
-          | Error error ->
-              if String.equal error r.error then
-                Ok (Forensics.build ~algo:r.algo ~seed:r.seed ~error)
-              else
-                Error
-                  (Printf.sprintf
-                     "replay failed differently: recorded %S, replay produced \
-                      %S"
-                     r.error error))
+      Forensics.explain_replay ~algo:r.algo ~seed:r.seed ~recorded:r.error
+        (fun () -> rerun r cfg)

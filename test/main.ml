@@ -21,6 +21,8 @@ let () =
       ("crashes", Test_crashes.suite);
       ("memento", Test_memento.suite);
       ("repro", Test_repro.suite);
+      ("store-repro", Test_store_repro.suite);
+      ("json", Test_json.suite);
       ("explore", Test_explore.suite);
       ("forensics", Test_forensics.suite);
       ("crash-sweeps", Test_crash_sweeps.suite);

@@ -157,13 +157,13 @@ let test_raising_measurement_leaks_nothing () =
 let test_classify_tie_pins_high () =
   let s = Pstats.make Pstats.Pwb "test.tie.pwb" in
   Pstats.reset ();
-  Pstats.record s Pstats.Medium;
-  Pstats.record s Pstats.High;
+  Pstats.d_record (Pstats.dstats ()) s Pstats.Medium;
+  Pstats.d_record (Pstats.dstats ()) s Pstats.High;
   Alcotest.(check bool) "50/50 medium/high counts as high" true
     (Pstats.classify s = Some Pstats.High);
   Pstats.reset ();
-  Pstats.record s Pstats.Low;
-  Pstats.record s Pstats.Medium;
+  Pstats.d_record (Pstats.dstats ()) s Pstats.Low;
+  Pstats.d_record (Pstats.dstats ()) s Pstats.Medium;
   Alcotest.(check bool) "50/50 low/medium counts as medium" true
     (Pstats.classify s = Some Pstats.Medium);
   Pstats.reset ();

@@ -251,7 +251,7 @@ let test_perfetto_roundtrip () =
                 v.Perfetto.out_spans))
 
 let test_json_parser () =
-  let ok s = match Perfetto.parse_json s with Ok _ -> true | Error _ -> false in
+  let ok s = match Json.parse s with Ok _ -> true | Error _ -> false in
   Alcotest.(check bool) "object" true
     (ok {|{"a":1,"b":[true,null,"x\n"],"c":-2.5e3}|});
   Alcotest.(check bool) "nested" true (ok {|[[[{"k":{}}]],[]]|});

@@ -26,9 +26,9 @@ let test_pstats_masks () =
 let test_pstats_classify_majority () =
   Pstats.reset ();
   let s = Pstats.make Pwb "subst.classify" in
-  Pstats.record s Pstats.Low;
-  Pstats.record s Pstats.High;
-  Pstats.record s Pstats.High;
+  Pstats.d_record (Pstats.dstats ()) s Pstats.Low;
+  Pstats.d_record (Pstats.dstats ()) s Pstats.High;
+  Pstats.d_record (Pstats.dstats ()) s Pstats.High;
   Alcotest.(check bool) "majority high" true
     (Pstats.classify s = Some Pstats.High);
   let l, m, h = Pstats.site_counts s in
